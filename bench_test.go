@@ -111,49 +111,43 @@ func BenchmarkFigure7Table(b *testing.B) {
 }
 
 // BenchmarkFigure7XL measures the cells of the large-scale scenario
-// ladder — generated multi-program mixes at 32, 64, and 128 cores —
-// under both the strided-RLE engine (default) and the flat-stream
-// engine (the PR 1 baseline), so `-bench Figure7XL` directly measures
-// the coalescing speedup on the suite it was built for. Apps are built
-// and a warm-up run performed outside the timer: what is measured is
-// the steady-state simulation cost of a cell (scheduling analyses and
-// compiled streams are memoized across runs in both engines alike).
+// ladder — generated multi-program mixes at 32, 64, and 128 cores. Apps
+// are built and a warm-up run performed outside the timer: what is
+// measured is the steady-state simulation cost of a cell (scheduling
+// analyses and compiled streams are memoized across runs).
 func BenchmarkFigure7XL(b *testing.B) {
 	for _, pt := range locsched.DefaultXLPoints() {
 		// ARR rides along with the paper's four: its cells quantify how
 		// much of the RRS preemption penalty (the weakest coalescing
 		// cells) affinity-aware dispatch recovers.
 		for _, pol := range append(locsched.Policies(), locsched.ARR) {
-			for _, engine := range []string{"rle", "flat"} {
-				b.Run(fmt.Sprintf("%dc-T%d/%s/%s", pt.Cores, pt.Tasks, pol, engine), func(b *testing.B) {
-					cfg := benchConfig()
-					cfg.Machine.Cores = pt.Cores
-					cfg.Machine.FlatStreams = engine == "flat"
-					apps, err := locsched.BuildMixApps(pt.Tasks, cfg.Workload)
+			b.Run(fmt.Sprintf("%dc-T%d/%s", pt.Cores, pt.Tasks, pol), func(b *testing.B) {
+				cfg := benchConfig()
+				cfg.Machine.Cores = pt.Cores
+				apps, err := locsched.BuildMixApps(pt.Tasks, cfg.Workload)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var last *locsched.RunResult
+				if last, err = locsched.RunConcurrent(apps, pol, cfg); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					last, err = locsched.RunConcurrent(apps, pol, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
-					var last *locsched.RunResult
-					if last, err = locsched.RunConcurrent(apps, pol, cfg); err != nil {
-						b.Fatal(err)
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						last, err = locsched.RunConcurrent(apps, pol, cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-					reportRun(b, last)
-				})
-			}
+				}
+				reportRun(b, last)
+			})
 		}
 	}
 }
 
 // BenchmarkXLLadderByPolicy measures one cell of the extended 128–1024
-// core ladder per policy SKU under both execution engines: seq is the
-// sequential oracle, par4 the parallel epoch-barrier engine at 4 workers
+// core ladder per policy SKU under both segment executors: seq is the
+// inline executor, par4 the pooled epoch-barrier executor at 4 workers
 // (clamped to GOMAXPROCS, so on a single-CPU host it degenerates to the
 // async machinery with one worker — the overhead bound, not a speedup).
 // The two report identical simms/run and miss% by construction; the

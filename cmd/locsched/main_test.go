@@ -42,6 +42,7 @@ func TestFlagValidation(t *testing.T) {
 		{"empty tspeeds", []string{"-tspeeds", ";", "topo"}, "-tspeeds"},
 		{"bad ttopos", []string{"-ttopos", "bus,hypercube", "topo"}, "-ttopos"},
 		{"negative thops", []string{"-thops", "0,-16", "topo"}, "-thops"},
+		{"removed flat flag", []string{"-flat", "fig6"}, "flag provided but not defined: -flat"},
 		{"unknown command", []string{"frobnicate"}, "usage:"},
 		{"missing command", nil, "usage:"},
 		{"two commands", []string{"fig6", "fig7"}, "usage:"},

@@ -85,14 +85,14 @@ type Config struct {
 	// 0 means GOMAXPROCS; 1 forces sequential execution.
 	Workers int
 
-	// SimWorkers bounds the intra-run worker pool of the parallel
-	// simulation engine (mpsoc.RunParallel): per-core segment simulations
-	// between scheduling events fan out across this many goroutines, with
-	// results bit-identical to the sequential engine at any value. 0 (the
-	// default) runs the sequential oracle; ≥ 1 selects the parallel
-	// engine. The Workers × SimWorkers product is clamped to a shared
-	// GOMAXPROCS budget (see effectiveSimWorkers), so combining cell-level
-	// and intra-run parallelism never oversubscribes the host.
+	// SimWorkers bounds the intra-run worker pool of the simulation
+	// engine (mpsoc.RunParallel): per-core segment simulations between
+	// scheduling events fan out across this many goroutines, with results
+	// bit-identical at any value. 0 (the default) runs the inline
+	// executor; ≥ 1 selects the pooled one. The Workers × SimWorkers
+	// product is clamped to a shared GOMAXPROCS budget (see
+	// effectiveSimWorkers), so combining cell-level and intra-run
+	// parallelism never oversubscribes the host.
 	SimWorkers int
 }
 

@@ -6,24 +6,16 @@ import (
 	"sync/atomic"
 )
 
-// runCells executes fn(0), …, fn(n-1) on a bounded worker pool. Each cell
-// of a figure or sweep owns its dispatcher, caches, and cursors and is
-// side-effect-free, so cells are embarrassingly parallel; results are
-// written into caller-owned slots indexed by cell, which keeps the
-// assembled output deterministic regardless of completion order. The
-// returned error is the first failing cell in cell order.
-//
-// workers ≤ 0 uses GOMAXPROCS; workers == 1 (or n == 1) runs inline.
 // effectiveSimWorkers resolves the intra-run engine pool size for one
 // cell so that cell-level (Workers) and intra-run (SimWorkers)
 // parallelism share one CPU budget instead of multiplying goroutines:
 // each of the cellWorkers concurrent cells gets an equal share of the
 // budget (at least 1), and simWorkers is clamped to that share.
-// simWorkers <= 0 selects the sequential engine outright; cellWorkers
-// <= 0 means GOMAXPROCS cells may run at once, leaving a share of 1.
-// E.g. Workers=4, SimWorkers=4 on GOMAXPROCS=2 yields 1 — four
-// concurrent cells each running the parallel engine single-worker —
-// not 16 runnable goroutines.
+// simWorkers <= 0 yields 0, the inline executor; cellWorkers <= 0 means
+// GOMAXPROCS cells may run at once, leaving a share of 1. E.g.
+// Workers=4, SimWorkers=4 on GOMAXPROCS=2 yields 1 — four concurrent
+// cells each running the pooled executor with one worker — not 16
+// runnable goroutines.
 func effectiveSimWorkers(cellWorkers, simWorkers, budget int) int {
 	if simWorkers <= 0 {
 		return 0
@@ -41,6 +33,14 @@ func effectiveSimWorkers(cellWorkers, simWorkers, budget int) int {
 	return share
 }
 
+// runCells executes fn(0), …, fn(n-1) on a bounded worker pool. Each cell
+// of a figure or sweep owns its dispatcher, caches, and cursors and is
+// side-effect-free, so cells are embarrassingly parallel; results are
+// written into caller-owned slots indexed by cell, which keeps the
+// assembled output deterministic regardless of completion order. The
+// returned error is the first failing cell in cell order.
+//
+// workers ≤ 0 uses GOMAXPROCS; workers == 1 (or n == 1) runs inline.
 func runCells(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil

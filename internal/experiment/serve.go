@@ -42,21 +42,23 @@ func ContentKey(g *taskgraph.Graph, arrays []*prog.Array, align int64) (string, 
 // ConfigDigest returns a canonical digest of everything in a Config that
 // can change a simulation's observable result: the machine (cores, cache
 // geometry, latencies, replacement, indexing, write policy, bus model,
-// engine selection, plus the heterogeneity extension — speed classes,
-// topology, hop penalty), the policy parameters (quantum, seed, affinity
-// family), and the layout alignment. Workers, SimWorkers, and
+// plus the heterogeneity extension — speed classes, topology, hop
+// penalty), the policy parameters (quantum, seed, affinity family), and
+// the layout alignment. Workers, SimWorkers, and
 // RecordTimeline are deliberately excluded: they change how fast a
 // result is computed and what side channels are captured, never the
-// result cells themselves (the parallel engine is bit-identical to the
-// sequential one), so cached response bytes stay valid across any
-// parallelism setting.
+// result cells themselves (both segment executors are bit-identical),
+// so cached response bytes stay valid across any parallelism setting.
+// The literal "|flat=false" is what the retired flat-stream engine
+// switch hashed to; it stays so every existing cache key and store
+// record keeps its digest.
 func ConfigDigest(cfg Config) string {
 	m := cfg.Machine
 	h := sha256.New()
-	fmt.Fprintf(h, "cores=%d|cache=%d,%d,%d|repl=%d|idx=%d|cls=%t|lat=%d,%d|clk=%d|seed=%d|bus=%g|wp=%d,%d|flat=%t",
+	fmt.Fprintf(h, "cores=%d|cache=%d,%d,%d|repl=%d|idx=%d|cls=%t|lat=%d,%d|clk=%d|seed=%d|bus=%g|wp=%d,%d|flat=false",
 		m.Cores, m.Cache.Size, m.Cache.BlockSize, m.Cache.Assoc,
 		m.Replacement, m.Indexing, m.Classify, m.HitLatency, m.MissPenalty,
-		m.ClockMHz, m.Seed, m.BusFactor, m.WritePolicy, m.WritebackPenalty, m.FlatStreams)
+		m.ClockMHz, m.Seed, m.BusFactor, m.WritePolicy, m.WritebackPenalty)
 	fmt.Fprintf(h, "|speeds=%s|topo=%d|hop=%d",
 		m.Machine.SpeedClasses, m.Machine.Topology, m.Machine.HopPenalty)
 	fmt.Fprintf(h, "|q=%d|seed=%d|align=%d|aff=%d,%d,%d|scale=%d",

@@ -9,20 +9,20 @@ import (
 
 // TestEffectiveSimWorkers: cell-level and intra-run parallelism share
 // one CPU budget — the product never exceeds it (modulo the at-least-1
-// floor that keeps a configured parallel engine selected).
+// floor that keeps a configured pooled executor selected).
 func TestEffectiveSimWorkers(t *testing.T) {
 	cases := []struct {
 		cellWorkers, simWorkers, budget, want int
 	}{
-		{1, 0, 8, 0},   // SimWorkers 0: sequential oracle, always
-		{1, 4, 8, 4},   // single cell: full request honored within budget
-		{1, 16, 8, 8},  // single cell: clamped to the whole budget
-		{2, 4, 8, 4},   // two cells split an 8-way budget evenly
-		{4, 4, 2, 1},   // the oversubscription footgun: 4×4 on 2 CPUs → 1 each
-		{4, 2, 2, 1},   // share floor is 1, request above it clamps down
-		{8, 1, 2, 1},   // a 1-worker request always stands (async engine, no extra CPU)
-		{0, 4, 2, 1},   // Workers=0 means GOMAXPROCS cells: share is 1
-		{3, 2, 8, 2},   // request below the share is honored as-is
+		{1, 0, 8, 0},  // SimWorkers 0: inline executor, always
+		{1, 4, 8, 4},  // single cell: full request honored within budget
+		{1, 16, 8, 8}, // single cell: clamped to the whole budget
+		{2, 4, 8, 4},  // two cells split an 8-way budget evenly
+		{4, 4, 2, 1},  // the oversubscription footgun: 4×4 on 2 CPUs → 1 each
+		{4, 2, 2, 1},  // share floor is 1, request above it clamps down
+		{8, 1, 2, 1},  // a 1-worker request always stands (async engine, no extra CPU)
+		{0, 4, 2, 1},  // Workers=0 means GOMAXPROCS cells: share is 1
+		{3, 2, 8, 2},  // request below the share is honored as-is
 	}
 	for _, c := range cases {
 		if got := effectiveSimWorkers(c.cellWorkers, c.simWorkers, c.budget); got != c.want {
@@ -33,10 +33,10 @@ func TestEffectiveSimWorkers(t *testing.T) {
 }
 
 // TestSimWorkersDeterministic: every figure the harness produces is
-// bit-identical across SimWorkers 0 (sequential oracle), 1, 4, and
+// bit-identical across SimWorkers 0 (inline executor), 1, 4, and
 // NumCPU — on Figure 6, a 32-core XL point, and the ARR ablation grid
 // (whose cells exercise warm wakes, quantum batching, and decay through
-// the parallel engine).
+// the pooled executor).
 func TestSimWorkersDeterministic(t *testing.T) {
 	base := DefaultConfig()
 	base.Workload.Scale = 1
@@ -74,13 +74,13 @@ func TestSimWorkersDeterministic(t *testing.T) {
 	for _, w := range counts[1:] {
 		got := build(w)
 		if !reflect.DeepEqual(want.fig6, got.fig6) {
-			t.Errorf("SimWorkers=%d: Figure6 diverges from sequential engine", w)
+			t.Errorf("SimWorkers=%d: Figure6 diverges from the inline executor", w)
 		}
 		if !reflect.DeepEqual(want.figXL, got.figXL) {
-			t.Errorf("SimWorkers=%d: Figure7XL diverges from sequential engine", w)
+			t.Errorf("SimWorkers=%d: Figure7XL diverges from the inline executor", w)
 		}
 		if !reflect.DeepEqual(want.grid, got.grid) {
-			t.Errorf("SimWorkers=%d: affinity ablation diverges from sequential engine", w)
+			t.Errorf("SimWorkers=%d: affinity ablation diverges from the inline executor", w)
 		}
 	}
 }

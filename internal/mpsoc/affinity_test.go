@@ -7,6 +7,7 @@ import (
 
 	"locsched/internal/layout"
 	"locsched/internal/sched"
+	"locsched/internal/taskgraph"
 	"locsched/internal/workload"
 )
 
@@ -15,27 +16,28 @@ import (
 // to RRS — same makespan, per-core busy cycles and cache stats,
 // completion cycles, preemption and affinity counters — across every
 // Table 1 application, both address maps, all machine variants, and
-// both execution engines. Only the policy name may differ.
+// both segment simulations (RLE and the flat oracle). Only the policy
+// name may differ.
 func TestARRZeroStrengthMatchesRRS(t *testing.T) {
 	apps, err := workload.BuildAll(workload.Params{Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cfgName, cfg := range rleDiffConfigs() {
-		for _, engine := range []string{"rle", "flat"} {
-			cfg := cfg
-			cfg.FlatStreams = engine == "flat"
+		for engine, run := range map[string]func(*taskgraph.Graph, Dispatcher, layout.AddressMap, Config) (*Result, error){
+			"rle": Run, "flat": runFlat,
+		} {
 			for _, app := range apps {
 				for amName, am := range rleDiffMaps(t, app, cfg.Cache) {
 					t.Run(fmt.Sprintf("%s/%s/%s/%s", cfgName, engine, app.Name, amName), func(t *testing.T) {
 						const quantum = 193
-						rrs, err := Run(app.Graph, sched.MustRoundRobin(quantum), am, cfg)
+						rrs, err := run(app.Graph, sched.MustRoundRobin(quantum), am, cfg)
 						if err != nil {
 							t.Fatalf("RRS: %v", err)
 						}
 						// QBatch and Decay must be inert at window 0: batching
 						// only applies to warm picks, which need a window.
-						arr, err := Run(app.Graph, sched.MustAffinityRR(sched.AffinityConfig{
+						arr, err := run(app.Graph, sched.MustAffinityRR(sched.AffinityConfig{
 							Quantum: quantum, Window: 0, QBatch: 8, Decay: 999,
 						}), am, cfg)
 						if err != nil {

@@ -48,8 +48,8 @@ type CoreAgnostic interface {
 // executed segment the engine reports which process ran, on which core,
 // the cycle the segment ended, and whether the process completed. This
 // is the last-core hint an affinity-aware policy (sched.AffinityRR)
-// feeds on, delivered identically by the flat-stream and strided-RLE
-// execution paths (both funnel through the shared dispatch loop).
+// feeds on, delivered identically under both segment executors (both
+// funnel through the one dispatch loop).
 // SegmentDone is called before the corresponding Ready/Preempted
 // announcement and must not affect whether a subsequent Pick succeeds.
 type SegmentObserver interface {
@@ -108,37 +108,6 @@ type Result struct {
 	Timeline      []Segment // populated when Config.RecordTimeline is set
 }
 
-// procCursor is one process's playback state under whichever engine the
-// runner was built for: exactly one field is set.
-type procCursor struct {
-	flat *trace.Cursor
-	rle  *trace.RLECursor
-}
-
-func (pc procCursor) done() bool {
-	if pc.flat != nil {
-		return pc.flat.Done()
-	}
-	return pc.rle.Done()
-}
-
-func (pc procCursor) reset() {
-	if pc.flat != nil {
-		pc.flat.Reset()
-	} else {
-		pc.rle.Reset()
-	}
-}
-
-// remaining returns the number of accesses left in the cursor's stream
-// (the parallel engine's lookahead bound is derived from it).
-func (pc procCursor) remaining() int64 {
-	if pc.flat != nil {
-		return pc.flat.Remaining()
-	}
-	return pc.rle.Remaining()
-}
-
 type evKind int
 
 const (
@@ -149,28 +118,44 @@ const (
 type event struct {
 	kind      evKind
 	core      int
-	id        taskgraph.ProcID
-	completed bool // for evDone: process ran to completion
+	p         *proc // for evDone: the process whose segment ended
+	completed bool  // for evDone: process ran to completion
 }
 
+// proc is one process as the engine sees it: its compiled trace cursor
+// and dependence edges, fixed at construction, plus the scheduling state
+// a run keeps for it (reset at the start of every run).
+type proc struct {
+	id     taskgraph.ProcID
+	cur    *trace.RLECursor
+	succs  []*proc // in ProcID order, the order successors are readied
+	npreds int
+
+	pending  int  // predecessors not yet completed
+	lastCore int  // core of the previous segment, -1 before the first
+	inFlight bool // dispatched, and its evDone not yet popped
+}
+
+// segmentFunc simulates one segment: it advances cur on cache c until
+// completion or quantum expiry (quantum 0 = no limit) and returns the
+// consumed cycles. blocks and writes are scratch sized to the widest
+// reference group, owned by the calling executor.
+type segmentFunc func(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wbPenalty, quantum int64, blocks []int64, writes []bool) (cycles int64, completed bool)
+
 // Runner owns the per-run machinery of one (graph, address map, machine)
-// triple: compiled trace cursors and per-core caches, built once and
-// reset between runs. Separating construction from simulation keeps the
-// measured path free of setup cost and lets repeated experiments (and
-// benchmarks) reuse the compiled streams and cache arenas.
-//
-// By default processes execute as strided run-length-encoded streams
-// (runSegmentRLE); Config.FlatStreams selects the fully-materialized
-// flat-stream path instead. The two are bit-identical.
+// triple: compiled strided-RLE trace cursors and per-core caches, built
+// once and reset between runs. Separating construction from simulation
+// keeps the measured path free of setup cost and lets repeated
+// experiments (and benchmarks) reuse the compiled streams and cache
+// arenas.
 //
 // A Runner is not safe for concurrent use; independent experiment cells
 // build their own.
 type Runner struct {
-	g       *taskgraph.Graph
-	cfg     Config
-	cursors map[taskgraph.ProcID]procCursor
-	caches  []*cache.Cache
-	runs    int
+	cfg    Config
+	procs  map[taskgraph.ProcID]*proc
+	roots  []*proc // processes without predecessors, in ProcID order
+	caches []*cache.Cache
 	// Per-core cost tables from the machine model (see machine.go):
 	// coreHitLat[c] is the core's speed-scaled hit latency, coreMissBase[c]
 	// its base miss penalty including the topology hop term. On the
@@ -178,10 +163,12 @@ type Runner struct {
 	// cfg.MissPenalty, so dispatch arithmetic is unchanged bit for bit.
 	coreHitLat   []int64
 	coreMissBase []int64
-	// scratch for runSegmentRLE's iteration fast-forward, sized to the
-	// widest reference group.
+	// The inline executor's segment scratch; pool workers own theirs.
 	blockScratch []int64
 	writeScratch []bool
+	// segment is runSegmentRLE; the differential tests swap in the
+	// flat-stream oracle here.
+	segment segmentFunc
 }
 
 // NewRunner validates the configuration and precompiles everything a run
@@ -202,23 +189,25 @@ func NewRunner(g *taskgraph.Graph, am layout.AddressMap, cfg Config) (*Runner, e
 	g.Freeze()
 
 	gen := trace.NewGenerator(am)
-	cursors := make(map[taskgraph.ProcID]procCursor, g.Len())
+	procs := make(map[taskgraph.ProcID]*proc, g.Len())
+	maxRefs := 0
 	for _, p := range g.Processes() {
-		var pc procCursor
-		if cfg.FlatStreams {
-			cur, err := gen.NewCursor(p.Spec)
-			if err != nil {
-				return nil, err
-			}
-			pc.flat = cur
-		} else {
-			cur, err := gen.NewRLECursor(p.Spec)
-			if err != nil {
-				return nil, err
-			}
-			pc.rle = cur
+		cur, err := gen.NewRLECursor(p.Spec)
+		if err != nil {
+			return nil, err
 		}
-		cursors[p.ID] = pc
+		procs[p.ID] = &proc{id: p.ID, cur: cur, npreds: len(g.Preds(p.ID))}
+		maxRefs = max(maxRefs, len(p.Spec.Refs))
+	}
+	var roots []*proc
+	for _, id := range g.ProcIDs() {
+		p := procs[id]
+		for _, succ := range g.Succs(id) {
+			p.succs = append(p.succs, procs[succ])
+		}
+		if p.npreds == 0 {
+			roots = append(roots, p)
+		}
 	}
 
 	caches := make([]*cache.Cache, cfg.Cores)
@@ -238,238 +227,58 @@ func NewRunner(g *taskgraph.Graph, am layout.AddressMap, cfg Config) (*Runner, e
 		}
 		caches[i] = c
 	}
-	maxRefs := 0
-	for _, p := range g.Processes() {
-		if n := len(p.Spec.Refs); n > maxRefs {
-			maxRefs = n
-		}
-	}
 	coreHitLat, coreMissBase, err := cfg.coreCostTables()
 	if err != nil {
 		return nil, err
 	}
 	return &Runner{
-		g: g, cfg: cfg, cursors: cursors, caches: caches,
+		cfg: cfg, procs: procs, roots: roots, caches: caches,
 		coreHitLat: coreHitLat, coreMissBase: coreMissBase,
 		blockScratch: make([]int64, maxRefs),
 		writeScratch: make([]bool, maxRefs),
+		segment:      runSegmentRLE,
 	}, nil
 }
 
-// resetForRun rewinds every cursor and cache before a repeat run on a
-// reused Runner (the first run starts from construction state).
+// resetForRun rewinds every cursor and cache and clears every process's
+// scheduling state, so a reused Runner starts each run from scratch.
 func (r *Runner) resetForRun() {
-	if r.runs > 0 {
-		for _, pc := range r.cursors {
-			pc.reset()
-		}
-		for _, c := range r.caches {
-			c.Reset()
-		}
+	for _, p := range r.procs {
+		p.cur.Reset()
+		p.pending, p.lastCore, p.inFlight = p.npreds, -1, false
 	}
-	r.runs++
+	for _, c := range r.caches {
+		c.Reset()
+	}
 }
 
-// Run simulates the EPG under the dispatcher. The dispatcher must be
-// fresh (its ready/queue state is consumed); cursors and caches are
-// reset automatically between runs.
+// execute simulates t on its core with the given scratch.
+func (r *Runner) execute(t *segTask, blocks []int64, writes []bool) {
+	t.cycles, t.completed = r.segment(t.p.cur, r.caches[t.core], r.coreHitLat[t.core], t.penalty, r.cfg.WritebackPenalty, t.quantum, blocks, writes)
+}
+
+// Run simulates the EPG under the dispatcher, executing every segment
+// inline at its dispatch. The dispatcher must be fresh (its ready/queue
+// state is consumed); cursors and caches are reset automatically between
+// runs.
 func (r *Runner) Run(d Dispatcher) (*Result, error) {
-	g, cfg := r.g, r.cfg
-	r.resetForRun()
+	return r.RunParallel(d, 0)
+}
 
-	// avail counts processes announced to the dispatcher (Ready or
-	// Preempted) and not yet successfully picked: an upper bound on how
-	// many idle-core offers can succeed, and zero means none can.
-	avail := 0
-	pendingPreds := make(map[taskgraph.ProcID]int, g.Len())
-	for _, id := range g.ProcIDs() {
-		pendingPreds[id] = len(g.Preds(id))
+// RunParallel simulates the EPG under the dispatcher like Run, but
+// executes segment simulations on a pool of workers goroutines (clamped
+// to the core count). The Result is bit-identical to Run's for every
+// dispatcher honouring the Dispatcher contract and every worker count
+// (enforced by the differential suites); workers <= 0 is Run. It must
+// not be called concurrently on one Runner.
+func (r *Runner) RunParallel(d Dispatcher, workers int) (*Result, error) {
+	s := r.newSimulation(d)
+	var exec executor = inlineExec{s}
+	if workers > 0 {
+		exec = newPoolExec(s, min(workers, r.cfg.Cores))
 	}
-	for _, id := range g.Roots() {
-		d.Ready(id)
-		avail++
-	}
-	coreAgnostic := false
-	if ca, ok := d.(CoreAgnostic); ok {
-		coreAgnostic = ca.CoreAgnostic()
-	}
-	observer, _ := d.(SegmentObserver)
-	hinter, _ := d.(AffinityHinter)
-	// lastCore remembers each process's previous core for the affinity
-	// accounting in Result (and mirrors what a SegmentObserver is told).
-	lastCore := make(map[taskgraph.ProcID]int, g.Len())
-
-	res := &Result{
-		Policy:     d.Name(),
-		PerCore:    make([]CoreStats, cfg.Cores),
-		Completion: make(map[taskgraph.ProcID]int64, g.Len()),
-	}
-
-	events := sim.NewQueue[event]()
-	for c := 0; c < cfg.Cores; c++ {
-		events.Push(0, event{kind: evFree, core: c})
-	}
-	idle := make([]bool, cfg.Cores)
-	idleCount := 0
-	busyCores := 0
-	remaining := g.Len()
-	var makespan int64
-
-	// wakeIdle requeues idle cores (in a deterministic order) without
-	// allocating. Offers that provably fail are elided — at 128 cores
-	// the all-but-one failed offers otherwise dominate preemptive
-	// schedules — but only at "quiet" timestamps: when another event is
-	// pending at this same cycle (FIFO order pops every same-cycle
-	// completion before any same-cycle offer), that event may ready more
-	// work before the offers pop, so all idle cores must be offered to
-	// keep the offer sequence — and with it the core↔process pairing —
-	// exactly as if nothing were elided. At a quiet timestamp nothing
-	// can inject work before the offers pop, so offers beyond the
-	// announced-work count avail fail for certain: none are pushed when
-	// avail is zero, and core-agnostic dispatchers (whose Pick success
-	// never depends on the core) need at most avail offers.
-	//
-	// The wake order is index order, except that an AffinityHinter's
-	// hinted cores are woken first: same-cycle evFree events pop FIFO,
-	// so the first woken core is the first to Pick, and putting a
-	// pending process's previous core there is what turns a would-be
-	// migration into a warm resume. The elision itself is unaffected —
-	// hints reorder the woken set, never enlarge it.
-	wake := func(now int64, c int) {
-		idle[c] = false
-		idleCount--
-		events.Push(now, event{kind: evFree, core: c})
-	}
-	wakeIdle := func(now int64) {
-		if idleCount == 0 {
-			return
-		}
-		quiet := true
-		if t, _, ok := events.Peek(); ok && t == now {
-			quiet = false
-		}
-		if quiet && avail <= 0 {
-			return
-		}
-		budget := idleCount
-		if quiet && coreAgnostic && avail < budget {
-			budget = avail
-		}
-		if hinter != nil && budget > 0 {
-			hinter.AffinityHints(now, func(c int) bool {
-				if c >= 0 && c < len(idle) && idle[c] {
-					wake(now, c)
-					budget--
-				}
-				return budget > 0 && idleCount > 0
-			})
-		}
-		for c := range idle {
-			if budget == 0 {
-				break
-			}
-			if idle[c] {
-				wake(now, c)
-				budget--
-			}
-		}
-	}
-
-	for remaining > 0 {
-		now, ev, ok := events.Pop()
-		if !ok {
-			return nil, fmt.Errorf("mpsoc: deadlock under policy %s: %d processes never dispatched", d.Name(), remaining)
-		}
-		switch ev.kind {
-		case evDone:
-			busyCores--
-			if observer != nil {
-				observer.SegmentDone(ev.id, ev.core, now, ev.completed)
-			}
-			if ev.completed {
-				res.PerCore[ev.core].Procs++
-				res.Completion[ev.id] = now
-				if now > makespan {
-					makespan = now
-				}
-				remaining--
-				for _, succ := range g.Succs(ev.id) {
-					pendingPreds[succ]--
-					if pendingPreds[succ] == 0 {
-						d.Ready(succ)
-						avail++
-					}
-				}
-			} else {
-				res.Preemptions++
-				d.Preempted(ev.id)
-				avail++
-			}
-			// Newly ready or requeued work may unblock idle cores, and
-			// this core itself is free again.
-			wakeIdle(now)
-			if remaining > 0 {
-				events.Push(now, event{kind: evFree, core: ev.core})
-			}
-
-		case evFree:
-			id, quantum, picked := d.Pick(ev.core, now)
-			if !picked {
-				idle[ev.core] = true
-				idleCount++
-				continue
-			}
-			avail--
-			if prev, ran := lastCore[id]; ran {
-				if prev == ev.core {
-					res.AffineResumes++
-				} else {
-					res.Migrations++
-				}
-			}
-			lastCore[id] = ev.core
-			pc, exists := r.cursors[id]
-			if !exists {
-				return nil, fmt.Errorf("mpsoc: policy %s picked unknown process %v", d.Name(), id)
-			}
-			if pc.done() {
-				return nil, fmt.Errorf("mpsoc: policy %s re-picked completed process %v", d.Name(), id)
-			}
-			// Cost inputs come from the dispatched core's machine-model
-			// tables; bus contention scales the whole off-chip penalty,
-			// hop term included.
-			penalty := r.coreMissBase[ev.core]
-			if cfg.BusFactor > 0 && busyCores > 0 {
-				penalty = int64(float64(penalty) * (1 + cfg.BusFactor*float64(busyCores)))
-			}
-			busyCores++
-			var cycles int64
-			var completed bool
-			if pc.flat != nil {
-				cycles, completed = runSegment(pc.flat, r.caches[ev.core], r.coreHitLat[ev.core], penalty, cfg.WritebackPenalty, quantum)
-			} else {
-				cycles, completed = runSegmentRLE(pc.rle, r.caches[ev.core], r.coreHitLat[ev.core], penalty, cfg.WritebackPenalty, quantum, r.blockScratch, r.writeScratch)
-			}
-			st := &res.PerCore[ev.core]
-			st.BusyCycles += cycles
-			st.Segments++
-			if cfg.RecordTimeline {
-				res.Timeline = append(res.Timeline, Segment{
-					Core: ev.core, Proc: id, Start: now, End: now + cycles, Completed: completed,
-				})
-			}
-			events.Push(now+cycles, event{kind: evDone, core: ev.core, id: id, completed: completed})
-		}
-	}
-
-	res.Cycles = makespan
-	res.Seconds = cfg.Seconds(makespan)
-	for i := range r.caches {
-		res.PerCore[i].Cache = r.caches[i].Stats()
-		res.Total.Add(res.PerCore[i].Cache)
-		res.IdleCycles += makespan - res.PerCore[i].BusyCycles
-	}
-	return res, nil
+	defer exec.stop()
+	return s.run(exec)
 }
 
 // Run simulates the EPG under the dispatcher on the configured machine,
@@ -482,56 +291,280 @@ func Run(g *taskgraph.Graph, d Dispatcher, am layout.AddressMap, cfg Config) (*R
 	return r.Run(d)
 }
 
-// runSegment executes the cursor on the cache until completion or quantum
-// expiry (quantum 0 = no limit) and returns the consumed cycles. At least
-// one access always executes, so preemptive policies make progress even
-// with degenerate quanta. The loop runs directly over the compiled
-// stream: two slice loads per access, with the no-quantum case hoisted
-// out of the per-access path.
-func runSegment(cur *trace.Cursor, c *cache.Cache, hitLat, missPenalty, wbPenalty, quantum int64) (cycles int64, completed bool) {
-	compute := cur.Spec().ComputePerIter
-	addrs, flags, start := cur.StreamAt()
-	pos, n := start, len(addrs)
-	missCost := hitLat + missPenalty
+// segTask is one dispatched segment. Result fields are written by
+// exactly one executor and read by the loop only after the task is
+// finished; each core owns one reusable slot (a core cannot dispatch
+// again until its previous segment's completion event popped).
+type segTask struct {
+	core    int
+	p       *proc
+	penalty int64
+	quantum int64
+	start   int64 // dispatch cycle
+	bound   int64 // pooled only: certified lower bound on the completion cycle
 
-	if quantum <= 0 {
-		for ; pos < n; pos++ {
-			f := flags[pos]
-			if f&trace.FlagNewIter != 0 {
-				cycles += compute
-			}
-			class, wroteBack := c.AccessRW(addrs[pos], f&trace.FlagWrite != 0)
-			if class == cache.Hit {
-				cycles += hitLat
-			} else {
-				cycles += missCost
-			}
-			if wroteBack {
-				cycles += wbPenalty
-			}
+	cycles    int64
+	completed bool
+	done      chan struct{} // pooled only: signalled by the worker
+}
+
+// executor simulates dispatched segments and hands each back to the
+// loop through simulation.finish, which queues its completion event.
+// There are two: inlineExec below, and the pooled poolExec in
+// parallel_engine.go.
+type executor interface {
+	// submit starts t's simulation.
+	submit(t *segTask)
+	// settle runs before every pop: it finishes each submitted segment
+	// that could complete at or before the next queued event.
+	settle()
+	// stop waits for every submitted segment and releases the executor.
+	stop()
+}
+
+// inlineExec simulates each segment at its dispatch on the loop
+// goroutine, with the Runner's scratch, and queues its completion at
+// once: no channels, no lookahead bound, nothing left to settle.
+type inlineExec struct{ s *simulation }
+
+func (e inlineExec) submit(t *segTask) {
+	r := e.s.r
+	r.execute(t, r.blockScratch, r.writeScratch)
+	e.s.finish(t)
+}
+
+func (inlineExec) settle() {}
+func (inlineExec) stop()   {}
+
+// simulation is the scheduling state of one run: the event queue, the
+// idle-core set, and the Result being accumulated. Its loop is the only
+// event loop in the package; which executor simulates the dispatched
+// segments is invisible to everything the dispatcher observes.
+type simulation struct {
+	r            *Runner
+	d            Dispatcher
+	observer     SegmentObserver
+	hinter       AffinityHinter
+	coreAgnostic bool
+
+	res       *Result
+	events    *sim.Queue[event]
+	slots     []segTask // per-core task arena: a core runs one segment at a time
+	idle      []bool
+	idleCount int
+	busyCores int
+	remaining int
+	makespan  int64
+	// avail counts processes announced to the dispatcher (Ready or
+	// Preempted) and not yet successfully picked: an upper bound on how
+	// many idle-core offers can succeed, and zero means none can.
+	avail int
+}
+
+func (r *Runner) newSimulation(d Dispatcher) *simulation {
+	r.resetForRun()
+	cores := r.cfg.Cores
+	s := &simulation{
+		r: r, d: d,
+		events:    sim.NewQueue[event](),
+		slots:     make([]segTask, cores),
+		idle:      make([]bool, cores),
+		remaining: len(r.procs),
+	}
+	for _, p := range r.roots {
+		d.Ready(p.id)
+		s.avail++
+	}
+	if ca, ok := d.(CoreAgnostic); ok {
+		s.coreAgnostic = ca.CoreAgnostic()
+	}
+	s.observer, _ = d.(SegmentObserver)
+	s.hinter, _ = d.(AffinityHinter)
+	s.res = &Result{
+		Policy:     d.Name(),
+		PerCore:    make([]CoreStats, cores),
+		Completion: make(map[taskgraph.ProcID]int64, len(r.procs)),
+	}
+	for c := range s.slots {
+		s.slots[c].core = c
+		s.events.Push(0, event{kind: evFree, core: c})
+	}
+	return s
+}
+
+func (s *simulation) run(exec executor) (*Result, error) {
+	for s.remaining > 0 {
+		exec.settle()
+		now, ev, ok := s.events.Pop()
+		if !ok {
+			return nil, fmt.Errorf("mpsoc: deadlock under policy %s: %d processes never dispatched", s.d.Name(), s.remaining)
 		}
-		cur.Skip(pos - start)
-		return cycles, true
+		if ev.kind == evDone {
+			s.complete(now, ev)
+			continue
+		}
+		t, err := s.dispatch(now, ev.core)
+		if err != nil {
+			return nil, err
+		}
+		if t != nil {
+			exec.submit(t)
+		}
 	}
 
-	for pos < n && cycles < quantum {
-		f := flags[pos]
-		if f&trace.FlagNewIter != 0 {
-			cycles += compute
-		}
-		class, wroteBack := c.AccessRW(addrs[pos], f&trace.FlagWrite != 0)
-		if class == cache.Hit {
-			cycles += hitLat
-		} else {
-			cycles += missCost
-		}
-		if wroteBack {
-			cycles += wbPenalty
-		}
-		pos++
+	res, r := s.res, s.r
+	res.Cycles = s.makespan
+	res.Seconds = r.cfg.Seconds(s.makespan)
+	for i := range r.caches {
+		res.PerCore[i].Cache = r.caches[i].Stats()
+		res.Total.Add(res.PerCore[i].Cache)
+		res.IdleCycles += s.makespan - res.PerCore[i].BusyCycles
 	}
-	cur.Skip(pos - start)
-	// A stream that ended exactly on the quantum boundary is a
-	// completion, not a preemption.
-	return cycles, pos >= n
+	return res, nil
+}
+
+// complete handles a popped evDone: dependence and dispatcher
+// bookkeeping, then the core is free again.
+func (s *simulation) complete(now int64, ev event) {
+	p := ev.p
+	p.inFlight = false
+	s.busyCores--
+	if s.observer != nil {
+		s.observer.SegmentDone(p.id, ev.core, now, ev.completed)
+	}
+	if ev.completed {
+		s.res.PerCore[ev.core].Procs++
+		s.res.Completion[p.id] = now
+		s.makespan = max(s.makespan, now)
+		s.remaining--
+		for _, succ := range p.succs {
+			succ.pending--
+			if succ.pending == 0 {
+				s.d.Ready(succ.id)
+				s.avail++
+			}
+		}
+	} else {
+		s.res.Preemptions++
+		s.d.Preempted(p.id)
+		s.avail++
+	}
+	// Newly ready or requeued work may unblock idle cores, and this core
+	// itself is free again.
+	s.wakeIdle(now)
+	if s.remaining > 0 {
+		s.events.Push(now, event{kind: evFree, core: ev.core})
+	}
+}
+
+// dispatch offers a free core to the dispatcher and returns the picked
+// segment's task, or nil when the core goes idle. Contract-violating
+// picks are errors: an unknown process, one already in flight (whose
+// cursor a second segment would slice), or one already completed.
+func (s *simulation) dispatch(now int64, core int) (*segTask, error) {
+	id, quantum, picked := s.d.Pick(core, now)
+	if !picked {
+		s.idle[core] = true
+		s.idleCount++
+		return nil, nil
+	}
+	s.avail--
+	p, exists := s.r.procs[id]
+	switch {
+	case !exists:
+		return nil, fmt.Errorf("mpsoc: policy %s picked unknown process %v", s.d.Name(), id)
+	case p.inFlight:
+		return nil, fmt.Errorf("mpsoc: policy %s picked in-flight process %v", s.d.Name(), id)
+	case p.cur.Done():
+		return nil, fmt.Errorf("mpsoc: policy %s re-picked completed process %v", s.d.Name(), id)
+	}
+	if p.lastCore == core {
+		s.res.AffineResumes++
+	} else if p.lastCore >= 0 {
+		s.res.Migrations++
+	}
+	p.lastCore = core
+	p.inFlight = true
+	// Cost inputs come from the dispatched core's machine-model tables;
+	// bus contention scales the whole off-chip penalty, hop term included.
+	penalty := s.r.coreMissBase[core]
+	if bf := s.r.cfg.BusFactor; bf > 0 && s.busyCores > 0 {
+		penalty = int64(float64(penalty) * (1 + bf*float64(s.busyCores)))
+	}
+	s.busyCores++
+	t := &s.slots[core]
+	t.p, t.start, t.penalty, t.quantum = p, now, penalty, quantum
+	return t, nil
+}
+
+// finish accounts an executed segment and queues its completion event.
+func (s *simulation) finish(t *segTask) {
+	st := &s.res.PerCore[t.core]
+	st.BusyCycles += t.cycles
+	st.Segments++
+	if s.r.cfg.RecordTimeline {
+		s.res.Timeline = append(s.res.Timeline, Segment{
+			Core: t.core, Proc: t.p.id, Start: t.start, End: t.start + t.cycles, Completed: t.completed,
+		})
+	}
+	s.events.Push(t.start+t.cycles, event{kind: evDone, core: t.core, p: t.p, completed: t.completed})
+}
+
+// wakeIdle requeues idle cores (in a deterministic order) without
+// allocating. Offers that provably fail are elided — at 128 cores the
+// all-but-one failed offers otherwise dominate preemptive schedules —
+// but only at "quiet" timestamps: when another event is pending at this
+// same cycle (FIFO order pops every same-cycle completion before any
+// same-cycle offer), that event may ready more work before the offers
+// pop, so all idle cores must be offered to keep the offer sequence —
+// and with it the core↔process pairing — exactly as if nothing were
+// elided. At a quiet timestamp nothing can inject work before the offers
+// pop, so offers beyond the announced-work count avail fail for certain:
+// none are pushed when avail is zero, and core-agnostic dispatchers
+// (whose Pick success never depends on the core) need at most avail
+// offers.
+//
+// The wake order is index order, except that an AffinityHinter's hinted
+// cores are woken first: same-cycle evFree events pop FIFO, so the first
+// woken core is the first to Pick, and putting a pending process's
+// previous core there is what turns a would-be migration into a warm
+// resume. The elision itself is unaffected — hints reorder the woken
+// set, never enlarge it.
+func (s *simulation) wakeIdle(now int64) {
+	if s.idleCount == 0 {
+		return
+	}
+	t, _, pending := s.events.Peek()
+	quiet := !pending || t != now
+	if quiet && s.avail <= 0 {
+		return
+	}
+	budget := s.idleCount
+	if quiet && s.coreAgnostic && s.avail < budget {
+		budget = s.avail
+	}
+	if s.hinter != nil && budget > 0 {
+		s.hinter.AffinityHints(now, func(c int) bool {
+			if c >= 0 && c < len(s.idle) && s.idle[c] {
+				s.wake(now, c)
+				budget--
+			}
+			return budget > 0 && s.idleCount > 0
+		})
+	}
+	for c := range s.idle {
+		if budget == 0 {
+			break
+		}
+		if s.idle[c] {
+			s.wake(now, c)
+			budget--
+		}
+	}
+}
+
+func (s *simulation) wake(now int64, c int) {
+	s.idle[c] = false
+	s.idleCount--
+	s.events.Push(now, event{kind: evFree, core: c})
 }

@@ -191,7 +191,8 @@ func TestCoreCostTables(t *testing.T) {
 // topology with a zero hop cost, any hop cost on a bus — must produce
 // results bit-identical (reflect.DeepEqual on the full Result) to the
 // zero-value Machine, across applications, both address maps, every
-// dispatcher family, both sequential engines, and the parallel engine.
+// dispatcher family, both segment simulations (RLE and the flat oracle),
+// and the pooled executor.
 func TestHomogeneousMachineEquivalence(t *testing.T) {
 	variants := map[string]Machine{
 		"spelled-uniform": {SpeedClasses: "1,1,1"},
@@ -206,7 +207,7 @@ func TestHomogeneousMachineEquivalence(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, app := range apps {
 		for amName, am := range rleDiffMaps(t, app, cfg.Cache) {
-			for dName, mkDisp := range rleDiffDispatchers(t) {
+			for dName, mkDisp := range rleDiffDispatchers(t, app.Graph, cfg.Cores) {
 				t.Run(fmt.Sprintf("%s/%s/%s", app.Name, amName, dName), func(t *testing.T) {
 					base, err := Run(app.Graph, mkDisp(), am, cfg)
 					if err != nil {
@@ -222,9 +223,7 @@ func TestHomogeneousMachineEquivalence(t *testing.T) {
 						if !reflect.DeepEqual(base, got) {
 							t.Errorf("%s: diverges from zero-value Machine:\nbase: %+v\ngot:  %+v", vName, base, got)
 						}
-						flatCfg := vcfg
-						flatCfg.FlatStreams = true
-						flat, err := Run(app.Graph, mkDisp(), am, flatCfg)
+						flat, err := runFlat(app.Graph, mkDisp(), am, vcfg)
 						if err != nil {
 							t.Fatalf("%s (flat): %v", vName, err)
 						}

@@ -29,8 +29,8 @@ func parallelWorkerCounts() []int {
 // under both address maps, every machine variant (including a
 // timeline-recording one: segment order must match, not just totals),
 // and every dispatcher — run-to-completion, mid-iteration preemptive,
-// and the full ARR affinity machinery — the parallel engine produces
-// results bit-identical to the sequential oracle at every worker count.
+// and the full ARR affinity machinery — the pooled executor produces
+// results bit-identical to the inline one at every worker count.
 func TestParallelEngineMatchesSequential(t *testing.T) {
 	apps, err := workload.BuildAll(workload.Params{Scale: 1})
 	if err != nil {
@@ -43,7 +43,7 @@ func TestParallelEngineMatchesSequential(t *testing.T) {
 	for cfgName, cfg := range cfgs {
 		for _, app := range apps {
 			for amName, am := range rleDiffMaps(t, app, cfg.Cache) {
-				for dName, mkDisp := range rleDiffDispatchers(t) {
+				for dName, mkDisp := range rleDiffDispatchers(t, app.Graph, cfg.Cores) {
 					t.Run(fmt.Sprintf("%s/%s/%s/%s", cfgName, app.Name, amName, dName), func(t *testing.T) {
 						r, err := NewRunner(app.Graph, am, cfg)
 						if err != nil {
@@ -51,12 +51,12 @@ func TestParallelEngineMatchesSequential(t *testing.T) {
 						}
 						seq, err := r.Run(mkDisp())
 						if err != nil {
-							t.Fatalf("sequential engine: %v", err)
+							t.Fatalf("inline executor: %v", err)
 						}
 						for _, w := range parallelWorkerCounts() {
 							par, err := r.RunParallel(mkDisp(), w)
 							if err != nil {
-								t.Fatalf("parallel engine (workers=%d): %v", w, err)
+								t.Fatalf("pooled executor (workers=%d): %v", w, err)
 							}
 							if !reflect.DeepEqual(seq, par) {
 								t.Errorf("workers=%d: results diverge:\nseq: %+v\npar: %+v", w, seq, par)
@@ -69,22 +69,20 @@ func TestParallelEngineMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelEngineFlatStreams: the parallel engine's flat-cursor arm
-// (runSegment on worker goroutines) is compared against the sequential
-// flat engine — the RLE differential suite already ties flat to RLE, so
-// this closes the square.
+// TestParallelEngineFlatStreams: the flat oracle on pool workers is
+// compared against the flat oracle inline — the RLE differential suite
+// already ties flat to RLE, so this closes the square.
 func TestParallelEngineFlatStreams(t *testing.T) {
 	app, err := workload.Build("Radar", 0, workload.Params{Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.FlatStreams = true
 	base, err := layout.Pack(cfg.Cache.BlockSize, app.Arrays...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(app.Graph, base, cfg)
+	r, err := newFlatRunner(app.Graph, base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +101,10 @@ func TestParallelEngineFlatStreams(t *testing.T) {
 	}
 }
 
-// TestParallelEngineRunnerReuse: alternating sequential and parallel
-// runs on one Runner (the repeated-cell path through the runner pool)
-// stays bit-identical — the reset machinery is shared and the parallel
-// engine must leave no worker writes behind after it returns.
+// TestParallelEngineRunnerReuse: alternating inline and pooled runs on
+// one Runner (the repeated-cell path through the runner pool) stays
+// bit-identical — the reset machinery is shared and the pooled executor
+// must leave no worker writes behind after it returns.
 func TestParallelEngineRunnerReuse(t *testing.T) {
 	app, err := workload.Build("Track", 0, workload.Params{Scale: 1})
 	if err != nil {
@@ -142,7 +140,7 @@ func TestParallelEngineRunnerReuse(t *testing.T) {
 
 // TestParallelEngineWorkerClamp: worker counts beyond the core count are
 // clamped (a segment per busy core is the maximum possible concurrency)
-// and workers <= 0 is the sequential oracle itself.
+// and workers <= 0 is the inline executor.
 func TestParallelEngineWorkerClamp(t *testing.T) {
 	app, err := workload.Build("Radar", 0, workload.Params{Scale: 1})
 	if err != nil {
@@ -171,15 +169,16 @@ func TestParallelEngineWorkerClamp(t *testing.T) {
 }
 
 // stuckDispatcher violates the Dispatcher contract by offering the same
-// process to every core: the parallel engine must refuse (the process
-// is in flight) instead of racing two workers on one cursor.
+// process, with a short quantum, to every core: the engine must refuse
+// the second pick (the process is in flight) instead of slicing one
+// cursor across cores — or, pooled, racing two workers on it.
 type stuckDispatcher struct{ id taskgraph.ProcID }
 
 func (s *stuckDispatcher) Name() string                  { return "stuck" }
 func (s *stuckDispatcher) Ready(id taskgraph.ProcID)     { s.id = id }
 func (s *stuckDispatcher) Preempted(id taskgraph.ProcID) {}
 func (s *stuckDispatcher) Pick(core int, now int64) (taskgraph.ProcID, int64, bool) {
-	return s.id, 0, true
+	return s.id, 100, true
 }
 
 func TestParallelEngineRejectsInFlightPick(t *testing.T) {
@@ -196,8 +195,10 @@ func TestParallelEngineRejectsInFlightPick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = r.RunParallel(&stuckDispatcher{}, 2)
-	if err == nil || !strings.Contains(err.Error(), "in-flight") {
-		t.Fatalf("want in-flight pick error, got %v", err)
+	for _, w := range append([]int{0}, parallelWorkerCounts()...) {
+		_, err = r.RunParallel(&stuckDispatcher{}, w)
+		if err == nil || !strings.Contains(err.Error(), "in-flight") {
+			t.Errorf("workers=%d: want in-flight pick error, got %v", w, err)
+		}
 	}
 }

@@ -1,351 +1,118 @@
 package mpsoc
 
-import (
-	"fmt"
-	"math"
+import "math"
 
-	"locsched/internal/sim"
-	"locsched/internal/taskgraph"
-)
-
-// This file is the parallel simulation engine: the same discrete-event
-// scheduling loop as Run, with the expensive part — per-segment cache
-// simulation — fanned out across a bounded worker pool. The sequential
-// engine in engine.go stays in-tree as the differential oracle, exactly
-// as the analysis layer keeps ComputeMatrix and LocalityScheduleRescan;
-// the differential suites assert Result equality bit for bit.
+// This file is the pooled segment executor behind RunParallel with
+// workers > 0. It is conservative discrete-event lookahead, not
+// speculation: between two scheduling events every running segment
+// touches only its process's cursor and its core's cache, with cost
+// inputs (bus-contention penalty, quantum) fixed at dispatch, and the
+// loop needs from it only *when* it ends. So submit hands the segment to
+// a worker along with a certified lower bound on its completion cycle,
+// and the loop joins tasks (settle, an epoch barrier) only when the next
+// event's timestamp reaches a bound. Everything the dispatcher observes
+// happens on the loop goroutine in exactly the inline order.
 //
-// Why this is legal: between two consecutive scheduling events every
-// running core's cache simulation is completely independent — a segment
-// touches only its process's cursor and its core's cache, and its cost
-// inputs (miss penalty under bus contention, quantum) are fixed at
-// dispatch time. The only thing the scheduling loop needs from a
-// segment is *when* it ends, and it needs that only once simulated time
-// is about to advance past the earliest cycle the segment could
-// possibly end at. So dispatches submit segment tasks to the pool and
-// keep going; each task carries a certified lower bound on its
-// completion cycle (quantum expiry returns at least the quantum,
-// completion costs at least one hit per remaining access), and the loop
-// joins tasks — an epoch barrier — only when the next event's timestamp
-// reaches a bound. Everything the dispatcher observes (Ready, Pick,
-// Preempted, SegmentDone order, wake order, offer elision) happens on
-// the loop goroutine in exactly the sequential order.
+// The event queue stays identical to the inline executor's:
 //
-// Determinism of the event queue is preserved by construction:
+//   - a completion lands strictly after its dispatch cycle (at least one
+//     access executes and HitLatency is positive), so a deferred push
+//     never changes wakeIdle's same-cycle quiet check;
+//   - joins take FIFO prefixes of the in-flight list, so same-cycle
+//     completions are pushed in dispatch order, as the inline executor
+//     pushes them, and FIFO tie-breaking pops them identically.
 //
-//   - a segment's completion lands strictly after its dispatch cycle
-//     (at least one access always executes and HitLatency is positive),
-//     so deferring its push never changes a wakeIdle quiet check, which
-//     only asks whether another event is pending at the current cycle;
-//   - joins consume the in-flight list in dispatch (FIFO) order and
-//     never skip past an unjoined task, so same-cycle completions enter
-//     the queue in dispatch order — the order the sequential engine
-//     pushed them in — and FIFO tie-breaking pops them identically.
+// docs/ARCHITECTURE.md walks through the argument with a diagram.
 
-// segTask is one in-flight segment execution. Result fields are written
-// by exactly one worker and read by the loop only after done is
-// signalled; each core owns one reusable slot (a core cannot dispatch
-// again until its previous segment's completion event popped).
-type segTask struct {
-	core    int
-	id      taskgraph.ProcID
-	pc      procCursor
-	penalty int64
-	quantum int64
-	start   int64 // dispatch cycle
-	bound   int64 // certified lower bound on the completion cycle
-
-	cycles    int64
-	completed bool
-	done      chan struct{}
+// poolExec simulates segments on worker goroutines. inFlight is the
+// dispatch-order FIFO of submitted-but-unfinished tasks; every
+// submitted task is joined before stop returns (error paths included),
+// so no worker can touch runner state after the run.
+type poolExec struct {
+	s        *simulation
+	tasks    chan *segTask
+	inFlight []*segTask
 }
 
-// segWorker drains segment tasks. Each worker owns its fast-forward
-// scratch, so concurrent runSegmentRLE calls share no mutable state.
-func (r *Runner) segWorker(tasks <-chan *segTask) {
+func newPoolExec(s *simulation, workers int) *poolExec {
+	e := &poolExec{
+		s: s,
+		// One slot per core: a core has at most one task in flight, so
+		// submit never blocks on the send.
+		tasks:    make(chan *segTask, len(s.slots)),
+		inFlight: make([]*segTask, 0, len(s.slots)),
+	}
+	for i := range s.slots {
+		s.slots[i].done = make(chan struct{}, 1)
+	}
+	for w := 0; w < workers; w++ {
+		go work(s.r, e.tasks)
+	}
+	return e
+}
+
+// work drains segment tasks. Each worker owns its fast-forward scratch,
+// so concurrent segment executions share no mutable state.
+func work(r *Runner, tasks <-chan *segTask) {
 	blocks := make([]int64, len(r.blockScratch))
 	writes := make([]bool, len(r.writeScratch))
-	wbPenalty := r.cfg.WritebackPenalty
 	for t := range tasks {
-		// The hit latency is the dispatched core's speed-scaled one;
-		// coreHitLat is built at construction and read-only here.
-		hitLat := r.coreHitLat[t.core]
-		if t.pc.flat != nil {
-			t.cycles, t.completed = runSegment(t.pc.flat, r.caches[t.core], hitLat, t.penalty, wbPenalty, t.quantum)
-		} else {
-			t.cycles, t.completed = runSegmentRLE(t.pc.rle, r.caches[t.core], hitLat, t.penalty, wbPenalty, t.quantum, blocks, writes)
-		}
+		r.execute(t, blocks, writes)
 		t.done <- struct{}{}
 	}
 }
 
-// segBound returns a certified lower bound on the cycles a dispatched
-// segment will consume: a preempted segment returns no earlier than its
-// quantum (the engines check cycles >= quantum before every access), and
-// a completing one pays at least a hit per remaining access. The bound
-// is what lets the loop keep popping events — and dispatching more
-// segments — while earlier segments are still simulating.
-func segBound(pc procCursor, hitLat, quantum int64) int64 {
-	min := pc.remaining() * hitLat
-	if quantum > 0 && quantum < min {
-		min = quantum
+// submit queues t for a worker with a certified lower bound on its
+// completion cycle: a preempted segment returns no earlier than its
+// quantum (the cycles >= quantum check precedes every access), and a
+// completing one pays at least a hit, at the dispatched core's scaled
+// latency, per remaining access — one access at the least. The bound is
+// what lets the loop keep popping events, and dispatching more
+// segments, while earlier segments are still simulating.
+func (e *poolExec) submit(t *segTask) {
+	hitLat := e.s.r.coreHitLat[t.core]
+	b := t.p.cur.Remaining() * hitLat
+	if t.quantum > 0 {
+		b = min(b, t.quantum)
 	}
-	if min < hitLat {
-		min = hitLat
-	}
-	return min
+	t.bound = t.start + max(b, hitLat)
+	e.inFlight = append(e.inFlight, t)
+	e.tasks <- t
 }
 
-// RunParallel simulates the EPG under the dispatcher like Run, but
-// executes segment simulations on a pool of workers goroutines. The
-// Result is bit-identical to Run's for every dispatcher honouring the
-// Dispatcher contract and every worker count (enforced by the
-// differential suites); workers <= 0 delegates to the sequential
-// engine. Like Run, it must not be called concurrently on one Runner.
-func (r *Runner) RunParallel(d Dispatcher, workers int) (*Result, error) {
-	if workers <= 0 {
-		return r.Run(d)
-	}
-	g, cfg := r.g, r.cfg
-	r.resetForRun()
-
-	if workers > cfg.Cores {
-		workers = cfg.Cores
-	}
-	tasks := make(chan *segTask, cfg.Cores)
-	for w := 0; w < workers; w++ {
-		go r.segWorker(tasks)
-	}
-	defer close(tasks)
-
-	// slots is the per-core task arena; inFlight is the dispatch-order
-	// FIFO of submitted-but-unjoined tasks. Every submitted task is
-	// joined before return (the deferred drain covers error paths), so
-	// no worker can touch runner state after RunParallel returns.
-	slots := make([]segTask, cfg.Cores)
-	for i := range slots {
-		slots[i].core = i
-		slots[i].done = make(chan struct{}, 1)
-	}
-	inFlight := make([]*segTask, 0, cfg.Cores)
-	defer func() {
-		for _, t := range inFlight {
-			<-t.done
+// settle is the epoch barrier: before simulated time may advance to the
+// next queued event, every in-flight segment that could complete at or
+// before it must have entered the queue. Joins are FIFO prefixes — a
+// later task with an expired bound drags every earlier unjoined task
+// with it, preserving push order.
+func (e *poolExec) settle() {
+	for len(e.inFlight) > 0 {
+		tnext := int64(math.MaxInt64)
+		if t, _, ok := e.s.events.Peek(); ok {
+			tnext = t
 		}
-	}()
-	// running guards against contract-violating dispatchers: in the
-	// sequential engine a re-picked in-flight process merely corrupts
-	// its own result, here it would race on the cursor.
-	running := make(map[taskgraph.ProcID]bool, cfg.Cores)
-
-	avail := 0
-	pendingPreds := make(map[taskgraph.ProcID]int, g.Len())
-	for _, id := range g.ProcIDs() {
-		pendingPreds[id] = len(g.Preds(id))
-	}
-	for _, id := range g.Roots() {
-		d.Ready(id)
-		avail++
-	}
-	coreAgnostic := false
-	if ca, ok := d.(CoreAgnostic); ok {
-		coreAgnostic = ca.CoreAgnostic()
-	}
-	observer, _ := d.(SegmentObserver)
-	hinter, _ := d.(AffinityHinter)
-	lastCore := make(map[taskgraph.ProcID]int, g.Len())
-
-	res := &Result{
-		Policy:     d.Name(),
-		PerCore:    make([]CoreStats, cfg.Cores),
-		Completion: make(map[taskgraph.ProcID]int64, g.Len()),
-	}
-
-	events := sim.NewQueue[event]()
-	for c := 0; c < cfg.Cores; c++ {
-		events.Push(0, event{kind: evFree, core: c})
-	}
-	idle := make([]bool, cfg.Cores)
-	idleCount := 0
-	busyCores := 0
-	remaining := g.Len()
-	var makespan int64
-
-	// wakeIdle is the sequential engine's wake/elision logic verbatim;
-	// see Run for the quiet-timestamp reasoning. Unjoined tasks cannot
-	// perturb the quiet check: their completions land strictly after
-	// every cycle at which events still pend.
-	wake := func(now int64, c int) {
-		idle[c] = false
-		idleCount--
-		events.Push(now, event{kind: evFree, core: c})
-	}
-	wakeIdle := func(now int64) {
-		if idleCount == 0 {
+		k := 0
+		for i, t := range e.inFlight {
+			if t.bound <= tnext {
+				k = i + 1
+			}
+		}
+		if k == 0 {
 			return
 		}
-		quiet := true
-		if t, _, ok := events.Peek(); ok && t == now {
-			quiet = false
-		}
-		if quiet && avail <= 0 {
-			return
-		}
-		budget := idleCount
-		if quiet && coreAgnostic && avail < budget {
-			budget = avail
-		}
-		if hinter != nil && budget > 0 {
-			hinter.AffinityHints(now, func(c int) bool {
-				if c >= 0 && c < len(idle) && idle[c] {
-					wake(now, c)
-					budget--
-				}
-				return budget > 0 && idleCount > 0
-			})
-		}
-		for c := range idle {
-			if budget == 0 {
-				break
-			}
-			if idle[c] {
-				wake(now, c)
-				budget--
-			}
-		}
-	}
-
-	// join waits for the first k in-flight tasks in dispatch order,
-	// applies their accounting, and pushes their completion events —
-	// dispatch order in, dispatch order pushed, so same-cycle ties pop
-	// exactly as if each push had happened at its dispatch.
-	join := func(k int) {
-		for _, t := range inFlight[:k] {
+		// Dispatch order in, dispatch order pushed, so same-cycle ties
+		// pop exactly as if each push had happened at its dispatch.
+		for _, t := range e.inFlight[:k] {
 			<-t.done
-			st := &res.PerCore[t.core]
-			st.BusyCycles += t.cycles
-			st.Segments++
-			if cfg.RecordTimeline {
-				res.Timeline = append(res.Timeline, Segment{
-					Core: t.core, Proc: t.id, Start: t.start, End: t.start + t.cycles, Completed: t.completed,
-				})
-			}
-			delete(running, t.id)
-			events.Push(t.start+t.cycles, event{kind: evDone, core: t.core, id: t.id, completed: t.completed})
+			e.s.finish(t)
 		}
-		inFlight = inFlight[:copy(inFlight, inFlight[k:])]
+		e.inFlight = e.inFlight[:copy(e.inFlight, e.inFlight[k:])]
 	}
-	// settle is the epoch barrier: before simulated time may advance to
-	// the next queued event, every in-flight segment that could complete
-	// at or before it must have entered the queue. Joins are FIFO
-	// prefixes — a later task with an expired bound drags every earlier
-	// unjoined task with it, preserving push order.
-	settle := func() {
-		for len(inFlight) > 0 {
-			tnext := int64(math.MaxInt64)
-			if t, _, ok := events.Peek(); ok {
-				tnext = t
-			}
-			k := 0
-			for i, t := range inFlight {
-				if t.bound <= tnext {
-					k = i + 1
-				}
-			}
-			if k == 0 {
-				return
-			}
-			join(k)
-		}
-	}
+}
 
-	for remaining > 0 {
-		settle()
-		now, ev, ok := events.Pop()
-		if !ok {
-			return nil, fmt.Errorf("mpsoc: deadlock under policy %s: %d processes never dispatched", d.Name(), remaining)
-		}
-		switch ev.kind {
-		case evDone:
-			busyCores--
-			if observer != nil {
-				observer.SegmentDone(ev.id, ev.core, now, ev.completed)
-			}
-			if ev.completed {
-				res.PerCore[ev.core].Procs++
-				res.Completion[ev.id] = now
-				if now > makespan {
-					makespan = now
-				}
-				remaining--
-				for _, succ := range g.Succs(ev.id) {
-					pendingPreds[succ]--
-					if pendingPreds[succ] == 0 {
-						d.Ready(succ)
-						avail++
-					}
-				}
-			} else {
-				res.Preemptions++
-				d.Preempted(ev.id)
-				avail++
-			}
-			wakeIdle(now)
-			if remaining > 0 {
-				events.Push(now, event{kind: evFree, core: ev.core})
-			}
-
-		case evFree:
-			id, quantum, picked := d.Pick(ev.core, now)
-			if !picked {
-				idle[ev.core] = true
-				idleCount++
-				continue
-			}
-			avail--
-			if prev, ran := lastCore[id]; ran {
-				if prev == ev.core {
-					res.AffineResumes++
-				} else {
-					res.Migrations++
-				}
-			}
-			lastCore[id] = ev.core
-			pc, exists := r.cursors[id]
-			if !exists {
-				return nil, fmt.Errorf("mpsoc: policy %s picked unknown process %v", d.Name(), id)
-			}
-			if running[id] {
-				return nil, fmt.Errorf("mpsoc: policy %s picked in-flight process %v", d.Name(), id)
-			}
-			if pc.done() {
-				return nil, fmt.Errorf("mpsoc: policy %s re-picked completed process %v", d.Name(), id)
-			}
-			// Mirror Run's dispatch arithmetic on the per-core tables; the
-			// lookahead bound must use the dispatched core's scaled hit
-			// latency so a slow core's segments are bounded exactly as the
-			// sequential engine will cost them.
-			penalty := r.coreMissBase[ev.core]
-			if cfg.BusFactor > 0 && busyCores > 0 {
-				penalty = int64(float64(penalty) * (1 + cfg.BusFactor*float64(busyCores)))
-			}
-			busyCores++
-			t := &slots[ev.core]
-			t.id, t.pc, t.penalty, t.quantum = id, pc, penalty, quantum
-			t.start = now
-			t.bound = now + segBound(pc, r.coreHitLat[ev.core], quantum)
-			running[id] = true
-			inFlight = append(inFlight, t)
-			tasks <- t
-		}
+func (e *poolExec) stop() {
+	for _, t := range e.inFlight {
+		<-t.done
 	}
-
-	res.Cycles = makespan
-	res.Seconds = cfg.Seconds(makespan)
-	for i := range r.caches {
-		res.PerCore[i].Cache = r.caches[i].Stats()
-		res.Total.Add(res.PerCore[i].Cache)
-		res.IdleCycles += makespan - res.PerCore[i].BusyCycles
-	}
-	return res, nil
+	close(e.tasks)
 }

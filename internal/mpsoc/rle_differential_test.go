@@ -48,9 +48,13 @@ func rleDiffMaps(t *testing.T, app *workload.App, geom cache.Geometry) map[strin
 
 // rleDiffConfigs returns the machine variants the engines are compared
 // under: the Table 2 default, a quantum-stressing small-cache variant,
-// a write-back variant (dirty-eviction cycles must also match), and a
+// a write-back variant (dirty-eviction cycles must also match), a
 // heterogeneous variant (per-core speed classes on a mesh with a hop
-// penalty — the per-core cost tables must agree across engines too).
+// penalty — the per-core cost tables must agree across engines too),
+// the FIFO and random replacement and the two prime-hashed indexing
+// paths of the batched cache entry points, the 4 KiB and 16 KiB points
+// of the cache-size sweep, and a direct-mapped, low-penalty corner of
+// the XL sweep grid.
 func rleDiffConfigs() map[string]Config {
 	def := DefaultConfig()
 
@@ -65,31 +69,48 @@ func rleDiffConfigs() map[string]Config {
 	het := DefaultConfig()
 	het.Machine = Machine{SpeedClasses: "1,3", Topology: TopoMesh, HopPenalty: 16}
 
-	return map[string]Config{"Table2": def, "SmallCache": small, "WriteBack": wb, "Hetero": het}
+	direct := DefaultConfig()
+	direct.Cache.Assoc = 1
+	direct.MissPenalty = 25
+
+	cfgs := map[string]Config{"Table2": def, "SmallCache": small, "WriteBack": wb, "Hetero": het, "DirectMapped": direct}
+	for name, repl := range map[string]cache.Replacement{"FIFO": cache.FIFO, "RandomRepl": cache.RandomRepl} {
+		c := DefaultConfig()
+		c.Replacement = repl
+		cfgs[name] = c
+	}
+	for name, ix := range map[string]cache.Indexing{"PrimeModulo": cache.PrimeModuloIndexing, "PrimeDisplacement": cache.PrimeDisplacementIndexing} {
+		c := DefaultConfig()
+		c.Indexing = ix
+		cfgs[name] = c
+	}
+	for _, size := range []int64{4 << 10, 16 << 10} {
+		c := DefaultConfig()
+		c.Cache.Size = size
+		cfgs[fmt.Sprintf("Cache%dK", size>>10)] = c
+	}
+	return cfgs
 }
 
-// rleDiffDispatchers returns fresh dispatcher constructors. The quantum
-// 193 is deliberately small and odd: it forces preemptions mid-iteration
-// (and mid-run resumes on other cores), the hardest case for run
-// splitting.
-func rleDiffDispatchers(t *testing.T) map[string]func() Dispatcher {
+// rleDiffDispatchers returns fresh dispatcher constructors for g on a
+// machine with the given core count. The quantum 193 is deliberately
+// small and odd: it forces preemptions mid-iteration (and mid-run
+// resumes on other cores), the hardest case for run splitting; 512 and
+// 8192 are the quantum sweep's points. The static dispatchers replay
+// g's locality schedule in each runtime mode: work stealing, skip
+// blocked, and strict order.
+func rleDiffDispatchers(t *testing.T, g *taskgraph.Graph, cores int) map[string]func() Dispatcher {
 	t.Helper()
-	return map[string]func() Dispatcher{
+	m, err := sharing.ComputeMatrix(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asg, err := sched.LocalitySchedule(g, m, cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disps := map[string]func() Dispatcher{
 		"RS": func() Dispatcher { return sched.NewRandom(7) },
-		"RRS-193": func() Dispatcher {
-			d, err := sched.NewRoundRobin(193)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		},
-		"RRS-4096": func() Dispatcher {
-			d, err := sched.NewRoundRobin(4096)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		},
 		// ARR exercises the affinity machinery end to end: warm-biased
 		// picks, hint-ordered wakes, quantum batching on warm resumes,
 		// and decaying bindings — all with the same odd quantum that
@@ -104,14 +125,28 @@ func rleDiffDispatchers(t *testing.T) map[string]func() Dispatcher {
 			return d
 		},
 	}
+	for _, q := range []int64{193, 512, 4096, 8192} {
+		disps[fmt.Sprintf("RRS-%d", q)] = func() Dispatcher {
+			d, err := sched.NewRoundRobin(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+	}
+	for _, mode := range []sched.StaticMode{sched.StealWhenIdle, sched.SkipBlocked, sched.StrictOrder} {
+		disps["LS-"+mode.String()] = func() Dispatcher { return sched.NewStaticMode("LS", asg, mode) }
+	}
+	return disps
 }
 
 // TestRLEEngineMatchesFlat: for every Table 1 application under both
-// address maps, several machine variants, and both run-to-completion and
-// preemptive dispatchers, the strided-RLE block-coalesced engine produces
-// results bit-identical to the flat compiled-stream engine: makespan,
-// per-core busy cycles and cache stats (hits, cold/capacity/conflict
-// misses, writebacks), completion times, preemption and idle counts.
+// address maps, every machine variant, and both run-to-completion and
+// preemptive dispatchers, the strided-RLE block-coalesced segment
+// simulation produces results bit-identical to the flat-stream oracle:
+// makespan, per-core busy cycles and cache stats (hits, cold/capacity/
+// conflict misses, writebacks), completion times, preemption and idle
+// counts.
 func TestRLEEngineMatchesFlat(t *testing.T) {
 	apps, err := workload.BuildAll(workload.Params{Scale: 1})
 	if err != nil {
@@ -120,23 +155,9 @@ func TestRLEEngineMatchesFlat(t *testing.T) {
 	for cfgName, cfg := range rleDiffConfigs() {
 		for _, app := range apps {
 			for amName, am := range rleDiffMaps(t, app, cfg.Cache) {
-				for dName, mkDisp := range rleDiffDispatchers(t) {
+				for dName, mkDisp := range rleDiffDispatchers(t, app.Graph, cfg.Cores) {
 					t.Run(fmt.Sprintf("%s/%s/%s/%s", cfgName, app.Name, amName, dName), func(t *testing.T) {
-						flatCfg := cfg
-						flatCfg.FlatStreams = true
-						flat, err := Run(app.Graph, mkDisp(), am, flatCfg)
-						if err != nil {
-							t.Fatalf("flat engine: %v", err)
-						}
-						rleCfg := cfg
-						rleCfg.FlatStreams = false
-						rle, err := Run(app.Graph, mkDisp(), am, rleCfg)
-						if err != nil {
-							t.Fatalf("RLE engine: %v", err)
-						}
-						if !reflect.DeepEqual(flat, rle) {
-							t.Errorf("results diverge:\nflat: %+v\nrle:  %+v", flat, rle)
-						}
+						assertFlatMatchesRLE(t, app.Graph, mkDisp, am, cfg)
 					})
 				}
 			}
@@ -179,28 +200,16 @@ func TestRLEEngineSingleRef(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cfgName, cfg := range rleDiffConfigs() {
-		for dName, mkDisp := range rleDiffDispatchers(t) {
+		for dName, mkDisp := range rleDiffDispatchers(t, g, cfg.Cores) {
 			t.Run(fmt.Sprintf("%s/%s", cfgName, dName), func(t *testing.T) {
-				flatCfg := cfg
-				flatCfg.FlatStreams = true
-				flat, err := Run(g, mkDisp(), base, flatCfg)
-				if err != nil {
-					t.Fatalf("flat engine: %v", err)
-				}
-				rle, err := Run(g, mkDisp(), base, cfg)
-				if err != nil {
-					t.Fatalf("RLE engine: %v", err)
-				}
-				if !reflect.DeepEqual(flat, rle) {
-					t.Errorf("results diverge:\nflat: %+v\nrle:  %+v", flat, rle)
-				}
+				assertFlatMatchesRLE(t, g, mkDisp, base, cfg)
 			})
 		}
 	}
 }
 
 // TestRLEEngineRunnerReuse: resetting and re-running a Runner (the path
-// repeated experiment cells take) stays bit-identical across engines.
+// repeated experiment cells take) stays bit-identical to the flat oracle.
 func TestRLEEngineRunnerReuse(t *testing.T) {
 	app, err := workload.Build("Radar", 0, workload.Params{Scale: 1})
 	if err != nil {
@@ -211,9 +220,7 @@ func TestRLEEngineRunnerReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatCfg := cfg
-	flatCfg.FlatStreams = true
-	flatRunner, err := NewRunner(app.Graph, base, flatCfg)
+	flatRunner, err := newFlatRunner(app.Graph, base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,5 +240,46 @@ func TestRLEEngineRunnerReuse(t *testing.T) {
 		if !reflect.DeepEqual(flat, rle) {
 			t.Errorf("run %d: results diverge:\nflat: %+v\nrle:  %+v", i, flat, rle)
 		}
+	}
+}
+
+// TestRLEEngineMatchesFlatXLMix: a generated 32-core combined mix (eight
+// Table 1 tasks) under both address maps and every dispatcher — the
+// scale at which idle-offer elision and cross-task stealing dominate.
+func TestRLEEngineMatchesFlatXLMix(t *testing.T) {
+	apps, err := workload.BuildMany(8, workload.Params{Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epg, arrays, err := workload.Combine(apps...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := &workload.App{Name: "mix32", Graph: epg, Arrays: arrays}
+	cfg := DefaultConfig()
+	cfg.Cores = 32
+	for amName, am := range rleDiffMaps(t, mix, cfg.Cache) {
+		for dName, mkDisp := range rleDiffDispatchers(t, epg, cfg.Cores) {
+			t.Run(fmt.Sprintf("%s/%s", amName, dName), func(t *testing.T) {
+				assertFlatMatchesRLE(t, epg, mkDisp, am, cfg)
+			})
+		}
+	}
+}
+
+// assertFlatMatchesRLE runs one cell under runSegmentRLE and under the
+// flat oracle and fails unless the Results are deeply equal.
+func assertFlatMatchesRLE(t *testing.T, g *taskgraph.Graph, mkDisp func() Dispatcher, am layout.AddressMap, cfg Config) {
+	t.Helper()
+	flat, err := runFlat(g, mkDisp(), am, cfg)
+	if err != nil {
+		t.Fatalf("flat oracle: %v", err)
+	}
+	rle, err := Run(g, mkDisp(), am, cfg)
+	if err != nil {
+		t.Fatalf("RLE engine: %v", err)
+	}
+	if !reflect.DeepEqual(flat, rle) {
+		t.Errorf("results diverge:\nflat: %+v\nrle:  %+v", flat, rle)
 	}
 }

@@ -8,9 +8,9 @@ import (
 // runSegmentRLE executes the cursor on the cache until completion or
 // quantum expiry, advancing run-by-run over the strided RLE encoding
 // instead of access-by-access over a flat stream. It is bit-identical to
-// runSegment: same cycles, same preemption point, same cache state and
-// stats (the differential tests in this package and in internal/trace
-// enforce this).
+// the access-by-access flat-stream simulation the differential tests in
+// this package keep as its oracle: same cycles, same preemption point,
+// same cache state and stats.
 //
 // The coalescing observation: within an RLE segment every reference
 // advances by a constant per-iteration delta, so the blocks an iteration
@@ -21,14 +21,14 @@ import (
 // preserved) and are applied in O(refs) by cache.TryAccessHitIters —
 // per-access work is paid only at block boundaries. Quantum expiry can
 // split a run mid-flight: fast-forwarding is capped to iterations whose
-// every access still passes the flat path's pre-access cycles<quantum
-// check, and the boundary iteration runs per access so the preemption
-// point lands exactly where the flat engine puts it.
+// every access still passes the pre-access cycles<quantum check, and the
+// boundary iteration runs per access so the preemption point lands
+// exactly where access-by-access simulation puts it.
 //
 // blockScratch and writeScratch are caller-owned scratch sized to at
-// least the stream's reference count: the sequential engine passes the
-// Runner's shared buffers, the parallel engine passes per-worker ones so
-// concurrent segment executions never share mutable state.
+// least the stream's reference count: the inline executor passes the
+// Runner's buffers, pool workers pass their own so concurrent segment
+// executions never share mutable state.
 func runSegmentRLE(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wbPenalty, quantum int64, blockScratch []int64, writeScratch []bool) (cycles int64, completed bool) {
 	compute := cur.Spec().ComputePerIter
 	s := cur.Stream()

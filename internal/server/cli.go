@@ -27,7 +27,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	queue := fs.Int("queue", def.QueueDepth, "job queue depth (full queue answers 429)")
 	workers := fs.Int("workers", def.Workers, "executor goroutines draining the queue")
 	expWorkers := fs.Int("expworkers", def.ExpWorkers, "intra-request experiment workers per job")
-	simWorkers := fs.Int("simworkers", def.SimWorkers, "intra-run parallel-engine workers per cell (0 = sequential engine; cache-neutral)")
+	simWorkers := fs.Int("simworkers", def.SimWorkers, "intra-run engine pool workers per cell (0 = inline executor; cache-neutral)")
 	cacheEntries := fs.Int("cache-entries", def.CacheEntries, "result cache entry bound")
 	cacheMB := fs.Int64("cache-mb", def.CacheBytes>>20, "result cache byte bound in MiB")
 	timeout := fs.Duration("timeout", def.RequestTimeout, "per-request deadline (queue wait + execution)")

@@ -55,10 +55,10 @@ type Config struct {
 	// cell sequential and lets the daemon parallelize across requests.
 	ExpWorkers int
 	// SimWorkers is the experiment.Config.SimWorkers value given to each
-	// executed job: intra-run parallel-engine workers. It is cache-neutral
-	// (the parallel engine is bit-identical to the sequential one, and
+	// executed job: intra-run engine pool workers. It is cache-neutral
+	// (the pooled executor is bit-identical to the inline one, and
 	// ConfigDigest excludes it), so changing it never invalidates stored
-	// response bytes. The default 0 runs the sequential engine.
+	// response bytes. The default 0 runs the inline executor.
 	SimWorkers int
 	// CacheEntries bounds the result cache by entry count.
 	CacheEntries int
