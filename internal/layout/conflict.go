@@ -50,7 +50,9 @@ type ConflictMatrix struct {
 }
 
 // Conflicts builds the conflict matrix from co-access groups under the
-// address map and cache geometry.
+// address map and cache geometry. Block counts are taken arithmetically
+// from the map's AddrFormula, so am must implement AddrCompiler for
+// every array of a group with two or more arrays.
 func Conflicts(groups []Footprints, am AddressMap, geom cache.Geometry) (*ConflictMatrix, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err
@@ -87,27 +89,18 @@ func Conflicts(groups []Footprints, am AddressMap, geom cache.Geometry) (*Confli
 		set *eset.Set
 	}
 	memo := make(map[key][]int64)
-	countsOf := func(a *prog.Array, fp *eset.Set) []int64 {
+	countsOf := func(a *prog.Array, fp *eset.Set) ([]int64, error) {
 		k := key{a, fp}
 		if c, ok := memo[k]; ok {
-			return c
+			return c, nil
 		}
-		counts := make([]int64, numSets)
-		blocks := make(map[int64]bool)
-		fp.Elements(func(e int64) bool {
-			addr := am.Addr(a, e)
-			first := geom.BlockOf(addr)
-			last := geom.BlockOf(addr + a.Elem - 1)
-			for blk := first; blk <= last; blk++ {
-				if !blocks[blk] {
-					blocks[blk] = true
-					counts[blk%numSets]++
-				}
-			}
-			return true
-		})
+		f, err := formulaOf(am, a)
+		if err != nil {
+			return nil, err
+		}
+		counts := blockHistogram(f, fp, geom)
 		memo[k] = counts
-		return counts
+		return counts, nil
 	}
 
 	for _, g := range groups {
@@ -121,7 +114,11 @@ func Conflicts(groups []Footprints, am AddressMap, geom cache.Geometry) (*Confli
 		sort.Slice(members, func(i, j int) bool { return members[i].Name < members[j].Name })
 		perArr := make([][]int64, len(members))
 		for i, a := range members {
-			perArr[i] = countsOf(a, g[a])
+			c, err := countsOf(a, g[a])
+			if err != nil {
+				return nil, err
+			}
+			perArr[i] = c
 		}
 		for s := int64(0); s < numSets; s++ {
 			var total int64
@@ -225,211 +222,4 @@ func (m *ConflictMatrix) String() string {
 		}
 	}
 	return b.String()
-}
-
-// VerifyGroup describes one process for pressure verification: the
-// per-array union footprints plus how many references the process issues
-// to each array (the number of concurrent access streams).
-type VerifyGroup struct {
-	FP   Footprints
-	Refs map[*prog.Array]int
-}
-
-// Pressure measures the static lockstep-thrash potential of a layout.
-// For every process and cache set, the number of simultaneously live
-// blocks is estimated as Σ_arrays min(refs to the array, the array's
-// footprint depth in the set): each reference is a stream contributing
-// one live block, and a single stream walking a deep array revisits a
-// set only after a full stride (no thrash on its own). Pressure is the
-// excess of that live estimate over the associativity, summed. Several
-// bands of one array squeezed into the same sets by a re-layout are
-// visible here whenever several references walk them in lockstep — the
-// damage mode the pairwise matrix cannot see.
-func Pressure(groups []VerifyGroup, am AddressMap, geom cache.Geometry) (int64, error) {
-	if err := geom.Validate(); err != nil {
-		return 0, err
-	}
-	numSets := geom.NumSets()
-	w := int64(geom.Assoc)
-	var pressure int64
-	live := make([]int64, numSets)
-	depth := make([]int64, numSets)
-	for _, g := range groups {
-		for i := range live {
-			live[i] = 0
-		}
-		for a, fp := range g.FP {
-			for i := range depth {
-				depth[i] = 0
-			}
-			blocks := make(map[int64]bool)
-			fp.Elements(func(e int64) bool {
-				addr := am.Addr(a, e)
-				first := geom.BlockOf(addr)
-				last := geom.BlockOf(addr + a.Elem - 1)
-				for blk := first; blk <= last; blk++ {
-					if !blocks[blk] {
-						blocks[blk] = true
-						depth[blk%numSets]++
-					}
-				}
-				return true
-			})
-			streams := int64(g.Refs[a])
-			if streams <= 0 {
-				streams = 1
-			}
-			for s := range depth {
-				d := depth[s]
-				if d > streams {
-					d = streams
-				}
-				live[s] += d
-			}
-		}
-		for _, n := range live {
-			if n > w {
-				pressure += n - w
-			}
-		}
-	}
-	return pressure, nil
-}
-
-// SelectRelayoutVerified runs Figure 5's greedy pair selection with a
-// per-step verification: a candidate bank assignment is kept only if it
-// strictly lowers the Pressure over the verification groups. This guards
-// against the transform's side effect of doubling an array's set depth
-// within its half of the cache, which the paper's unverified greedy can
-// turn into new conflicts.
-//
-// The verification groups should be the single-process co-access groups:
-// arrays referenced in lockstep by one process thrash on every iteration
-// when they overflow a set, which is the damage mode worth vetoing. The
-// selection matrix m may additionally include successive-pair groups,
-// whose conflicts are bounded one-time refills rather than per-iteration
-// thrash. Returns the accepted banks and the before/after pressure.
-func SelectRelayoutVerified(verifyGroups []VerifyGroup, m *ConflictMatrix, base AddressMap,
-	threshold int64, geom cache.Geometry) (map[*prog.Array]int64, int64, int64, error) {
-
-	halfC := geom.PageSize() / 2
-	banks := make(map[*prog.Array]int64)
-	before, err := Pressure(verifyGroups, base, geom)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	cur := before
-	n := len(m.arrays)
-	vals := make([][]int64, n)
-	for i := range vals {
-		vals[i] = append([]int64(nil), m.vals[i]...)
-	}
-	for {
-		bi, bj, best := -1, -1, threshold
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				_, iDone := banks[m.arrays[i]]
-				_, jDone := banks[m.arrays[j]]
-				if iDone && jDone {
-					continue
-				}
-				if vals[i][j] > best {
-					bi, bj, best = i, j, vals[i][j]
-				}
-			}
-		}
-		if bi < 0 {
-			return banks, before, cur, nil
-		}
-		vals[bi][bj] = 0
-		vals[bj][bi] = 0
-		ai, aj := m.arrays[bi], m.arrays[bj]
-
-		candidate := make(map[*prog.Array]int64, len(banks)+2)
-		for a, b := range banks {
-			candidate[a] = b
-		}
-		_, iDone := banks[ai]
-		_, jDone := banks[aj]
-		switch {
-		case iDone && !jDone:
-			candidate[aj] = halfC - banks[ai]
-		case jDone && !iDone:
-			candidate[ai] = halfC - banks[aj]
-		default:
-			candidate[ai] = 0
-			candidate[aj] = halfC
-		}
-		rl, err := ApplyRelayout(base, geom, candidate)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		p, err := Pressure(verifyGroups, rl, geom)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if p < cur {
-			banks = candidate
-			cur = p
-		}
-	}
-}
-
-// RelevantFunc optionally restricts which pairs SelectRelayout may pick.
-// With the co-access construction above the matrix is already restricted
-// to Figure 5's eligible pairs, so nil is the common choice.
-type RelevantFunc func(a, b *prog.Array) bool
-
-// SelectRelayout runs the greedy algorithm of Figure 5: repeatedly pick
-// the array pair with the maximum conflict weight above the threshold and
-// assign the two arrays to opposite banks (0 and C/2). Arrays already
-// assigned keep their bank; a pair in which both arrays are already
-// assigned is skipped (their layouts were fixed by an earlier, heavier
-// conflict). Returns the bank assignment to feed ApplyRelayout.
-func SelectRelayout(m *ConflictMatrix, relevant RelevantFunc, threshold int64, geom cache.Geometry) map[*prog.Array]int64 {
-	halfC := geom.PageSize() / 2
-	banks := make(map[*prog.Array]int64)
-	n := len(m.arrays)
-	// Work on a copy so the caller's matrix is untouched.
-	vals := make([][]int64, n)
-	for i := range vals {
-		vals[i] = append([]int64(nil), m.vals[i]...)
-	}
-	for {
-		// Select the maximal remaining pair where at least one array is
-		// not yet re-laid-out.
-		bi, bj, best := -1, -1, threshold
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				_, iDone := banks[m.arrays[i]]
-				_, jDone := banks[m.arrays[j]]
-				if iDone && jDone {
-					continue
-				}
-				if vals[i][j] > best {
-					bi, bj, best = i, j, vals[i][j]
-				}
-			}
-		}
-		if bi < 0 {
-			return banks
-		}
-		vals[bi][bj] = 0
-		vals[bj][bi] = 0
-		ai, aj := m.arrays[bi], m.arrays[bj]
-		if relevant != nil && !relevant(ai, aj) {
-			continue
-		}
-		_, iDone := banks[ai]
-		_, jDone := banks[aj]
-		switch {
-		case iDone && !jDone:
-			banks[aj] = halfC - banks[ai] // the opposite bank
-		case jDone && !iDone:
-			banks[ai] = halfC - banks[aj]
-		default:
-			banks[ai] = 0
-			banks[aj] = halfC
-		}
-	}
 }

@@ -165,10 +165,11 @@ type Relayouted struct {
 // addr' = q·C + r + b (the paper's formula applied to array-local
 // offsets). banks values must be 0 or C/2.
 func ApplyRelayout(base AddressMap, geom cache.Geometry, banks map[*prog.Array]int64) (*Relayouted, error) {
-	c := geom.PageSize()
-	if c <= 0 || c%2 != 0 {
-		return nil, fmt.Errorf("layout: cache page size %d must be positive and even", c)
+	check, err := newRelayoutCheck(base, geom)
+	if err != nil {
+		return nil, err
 	}
+	c := check.page
 	r := &Relayouted{
 		base:    base,
 		pageC:   c,
@@ -184,18 +185,8 @@ func ApplyRelayout(base AddressMap, geom cache.Geometry, banks map[*prog.Array]i
 	off := roundUp(base.Size(), c)
 	for _, a := range arrs {
 		b := banks[a]
-		if b != 0 && b != c/2 {
-			return nil, fmt.Errorf("layout: array %s: bank %d must be 0 or C/2=%d", a.Name, b, c/2)
-		}
-		known := false
-		for _, ba := range base.Arrays() {
-			if ba == a {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return nil, fmt.Errorf("layout: array %s not present in base layout", a.Name)
+		if err := check.bank(a, b); err != nil {
+			return nil, err
 		}
 		r.banks[a] = b
 		r.newBase[a] = off
@@ -206,6 +197,36 @@ func ApplyRelayout(base AddressMap, geom cache.Geometry, banks map[*prog.Array]i
 	}
 	r.sizeTot = off
 	return r, nil
+}
+
+// relayoutCheck validates bank assignments against one base layout.
+type relayoutCheck struct {
+	page  int64 // cache page size C
+	known map[*prog.Array]bool
+}
+
+func newRelayoutCheck(base AddressMap, geom cache.Geometry) (relayoutCheck, error) {
+	c := geom.PageSize()
+	if c <= 0 || c%2 != 0 {
+		return relayoutCheck{}, fmt.Errorf("layout: cache page size %d must be positive and even", c)
+	}
+	arrs := base.Arrays()
+	known := make(map[*prog.Array]bool, len(arrs))
+	for _, a := range arrs {
+		known[a] = true
+	}
+	return relayoutCheck{page: c, known: known}, nil
+}
+
+// bank checks that a may be relaid out at bank b.
+func (rc relayoutCheck) bank(a *prog.Array, b int64) error {
+	if b != 0 && b != rc.page/2 {
+		return fmt.Errorf("layout: array %s: bank %d must be 0 or C/2=%d", a.Name, b, rc.page/2)
+	}
+	if !rc.known[a] {
+		return fmt.Errorf("layout: array %s not present in base layout", a.Name)
+	}
+	return nil
 }
 
 // Addr implements AddressMap.

@@ -146,6 +146,30 @@ func TestRelayoutValidation(t *testing.T) {
 	}
 }
 
+func TestApplyRelayoutErrors(t *testing.T) {
+	a := prog.MustArray("A", 4, 100)
+	b := prog.MustArray("B", 4, 100)
+	stranger := prog.MustArray("S", 4, 100)
+	p := MustPack(32, a, b)
+	oddPage := cache.Geometry{Size: 15 * 5, BlockSize: 5, Assoc: 1} // C = 75
+	for _, tc := range []struct {
+		name  string
+		geom  cache.Geometry
+		banks map[*prog.Array]int64
+		want  string
+	}{
+		{"bad bank", testGeom, map[*prog.Array]int64{a: 7}, "layout: array A: bank 7 must be 0 or C/2=2048"},
+		{"unknown array", testGeom, map[*prog.Array]int64{stranger: 0}, "layout: array S not present in base layout"},
+		{"first by name", testGeom, map[*prog.Array]int64{stranger: 0, b: 1}, "layout: array B: bank 1 must be 0 or C/2=2048"},
+		{"odd page", oddPage, map[*prog.Array]int64{a: 0}, "layout: cache page size 75 must be positive and even"},
+	} {
+		_, err := ApplyRelayout(p, tc.geom, tc.banks)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestRelayoutPassthrough(t *testing.T) {
 	a := prog.MustArray("A", 4, 100)
 	b := prog.MustArray("B", 4, 100)
