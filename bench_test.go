@@ -550,7 +550,7 @@ func BenchmarkComputeMatrixXL(b *testing.B) {
 			b.Run("seq", func(b *testing.B) {
 				b.ReportMetric(float64(g.Len()), "procs")
 				for i := 0; i < b.N; i++ {
-					if _, err := locsched.ComputeSharing(g); err != nil {
+					if _, err := sharing.ComputeMatrix(g); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -9,7 +9,9 @@
 package eset
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -77,11 +79,11 @@ func (b *Builder) Build() *Set {
 	if len(runs) == 0 {
 		return Empty()
 	}
-	sort.Slice(runs, func(i, j int) bool {
-		if runs[i].Lo != runs[j].Lo {
-			return runs[i].Lo < runs[j].Lo
+	slices.SortFunc(runs, func(a, b Run) int {
+		if c := cmp.Compare(a.Lo, b.Lo); c != 0 {
+			return c
 		}
-		return runs[i].Hi < runs[j].Hi
+		return cmp.Compare(a.Hi, b.Hi)
 	})
 	out := runs[:1]
 	for _, r := range runs[1:] {

@@ -60,8 +60,9 @@ type analysisStats struct {
 }
 
 type matrixEntry struct {
-	g *taskgraph.Graph // retained: the canonical graph the matrix was computed on
-	m *sharing.Matrix
+	g  *taskgraph.Graph // retained: the canonical graph the matrix was computed on
+	m  *sharing.Matrix
+	an *sharing.Analyzer // the data spaces behind m, reused by the LSM mapping
 }
 
 type lsEntry struct {
@@ -123,15 +124,28 @@ func cachedMatrix(g *taskgraph.Graph, gk string, workers int) (*sharing.Matrix, 
 	if ok {
 		return e.m, nil
 	}
-	m, err := sharing.ComputeMatrixParallel(g, workers)
+	an := sharing.NewAnalyzer()
+	m, err := an.MatrixParallel(g, workers)
 	if err != nil {
 		return nil, err
 	}
 	analysisCache.Lock()
 	evictAnalysisIfFullLocked()
-	analysisCache.matrix[gk] = &matrixEntry{g: g, m: m}
+	analysisCache.matrix[gk] = &matrixEntry{g: g, m: m, an: an}
 	analysisCache.Unlock()
 	return m, nil
+}
+
+// matrixAnalyzer returns the analyzer that built g's cached sharing
+// matrix, or nil when the matrix tier no longer holds it for this exact
+// graph. It peeks without counting a hit or a miss.
+func matrixAnalyzer(g *taskgraph.Graph, gk string) *sharing.Analyzer {
+	analysisCache.Lock()
+	defer analysisCache.Unlock()
+	if e, ok := analysisCache.matrix[gk]; ok && e.g == g {
+		return e.an
+	}
+	return nil
 }
 
 // cachedLS returns the (possibly memoized) LS assignment for g on the
@@ -194,7 +208,8 @@ func lsmKey(gk string, cores int, base layout.AddressMap, geom cache.Geometry) s
 // A miss obtains the LS assignment through cachedLS and threads it into
 // NewLSM, so LS+LSM figure columns on the same (graph, cores) run
 // LocalitySchedule (and the sharing matrix behind it) exactly once,
-// whichever policy's cell lands first.
+// whichever policy's cell lands first. NewLSM also reads its data spaces
+// from the matrix's analyzer instead of computing them again.
 func cachedLSM(g *taskgraph.Graph, cores int, base layout.AddressMap, geom cache.Geometry, workers int, biasKey string, bias sched.CoreBias) (*sched.MappingResult, error) {
 	g.Freeze()
 	gk := g.Fingerprint()
@@ -218,7 +233,7 @@ func cachedLSM(g *taskgraph.Graph, cores int, base layout.AddressMap, geom cache
 	if err != nil {
 		return nil, err
 	}
-	_, mapping, err := sched.NewLSM(g, nil, asg, cores, base, geom, nil)
+	_, mapping, err := sched.NewLSM(g, nil, asg, cores, base, geom, matrixAnalyzer(g, gk))
 	if err != nil {
 		return nil, err
 	}

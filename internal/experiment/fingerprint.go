@@ -56,8 +56,8 @@ var layoutFPMemo = struct {
 
 // layoutFingerprint returns the (memoized) content fingerprint of an
 // address map: per-array content plus the closed-form address formula
-// when the map can state one (Packed and Relayouted both can), or the
-// element-0 address otherwise, plus the total mapped extent.
+// (or the element-0 address should the map not know the array), plus
+// the total mapped extent.
 func layoutFingerprint(am layout.AddressMap) string {
 	layoutFPMemo.Lock()
 	fp, ok := layoutFPMemo.m[am]
@@ -66,14 +66,11 @@ func layoutFingerprint(am layout.AddressMap) string {
 		return fp
 	}
 	h := sha256.New()
-	compiler, _ := am.(layout.AddrCompiler)
 	for i, arr := range am.Arrays() {
 		taskgraph.HashArray(h, i, arr)
-		if compiler != nil {
-			if f, ok := compiler.CompileAddr(arr); ok {
-				fmt.Fprintf(h, "f%d,%d,%d,%d;", f.Base, f.Elem, f.Page, f.Bank)
-				continue
-			}
+		if f, ok := am.CompileAddr(arr); ok {
+			fmt.Fprintf(h, "f%d,%d,%d,%d;", f.Base, f.Elem, f.Page, f.Bank)
+			continue
 		}
 		fmt.Fprintf(h, "@%d;", am.Addr(arr, 0))
 	}

@@ -51,8 +51,8 @@ type ConflictMatrix struct {
 
 // Conflicts builds the conflict matrix from co-access groups under the
 // address map and cache geometry. Block counts are taken arithmetically
-// from the map's AddrFormula, so am must implement AddrCompiler for
-// every array of a group with two or more arrays.
+// from the map's AddrFormula, so am must know every array of a group
+// with two or more arrays.
 func Conflicts(groups []Footprints, am AddressMap, geom cache.Geometry) (*ConflictMatrix, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err

@@ -9,13 +9,10 @@ import (
 )
 
 // formulaOf returns the closed-form address formula of a in am. The
-// conflict and pressure analyses count blocks arithmetically from it, so
-// they need maps that implement AddrCompiler (Packed and Relayouted do).
+// conflict and pressure analyses count blocks arithmetically from it.
 func formulaOf(am AddressMap, a *prog.Array) (AddrFormula, error) {
-	if c, ok := am.(AddrCompiler); ok {
-		if f, ok := c.CompileAddr(a); ok {
-			return f, nil
-		}
+	if f, ok := am.CompileAddr(a); ok {
+		return f, nil
 	}
 	return AddrFormula{}, fmt.Errorf("layout: array %s has no closed-form address in %T", a.Name, am)
 }

@@ -27,6 +27,9 @@ import (
 )
 
 // AddressMap assigns a physical byte address to every array element.
+// Every map states its per-array addressing in closed form
+// (AddrCompiler), which the trace compiler and the conflict analyses
+// evaluate arithmetically.
 type AddressMap interface {
 	// Addr returns the address of the element with the given row-major
 	// linear index. It panics on arrays the map does not know.
@@ -35,6 +38,7 @@ type AddressMap interface {
 	Arrays() []*prog.Array
 	// Size returns the total extent of the mapped region in bytes.
 	Size() int64
+	AddrCompiler
 }
 
 // AddrFormula is a closed-form description of Addr(arr, ·) for one array:
@@ -64,13 +68,35 @@ func (f AddrFormula) Addr(linear int64) int64 {
 	return f.Base + (off/half)*f.Page + off%half + f.Bank
 }
 
-// AddrCompiler is an optional AddressMap fast path: maps that can state
-// their per-array addressing in closed form let the trace compiler
-// resolve each reference once per compilation (and share compiled
-// streams across runs) instead of dispatching Addr per access.
+// AffineSteps returns how many of the n steps of an affine index piece
+// lin + t·step (t in [0, n), every index non-negative) stay affine in
+// address space: the largest m ≤ n with Addr(lin + t·step) =
+// Addr(lin) + t·step·Elem for every t < m. Linear formulas never break;
+// the interleaved one breaks where the byte offset leaves its half-page
+// chunk. m ≥ 1 whenever n ≥ 1.
+func (f AddrFormula) AffineSteps(lin, step, n int64) int64 {
+	if f.Page == 0 || step == 0 {
+		return n
+	}
+	half := f.Page / 2
+	off, d := lin*f.Elem, step*f.Elem
+	q := off / half
+	var m int64
+	if d > 0 {
+		m = ((q+1)*half - off + d - 1) / d
+	} else {
+		m = (off-q*half)/(-d) + 1
+	}
+	return min(m, n)
+}
+
+// AddrCompiler states a map's per-array addressing in closed form, so
+// the trace compiler resolves each reference once per compilation (and
+// shares compiled streams across runs) instead of calling Addr per
+// access.
 type AddrCompiler interface {
-	// CompileAddr returns the formula for arr, or ok=false when the
-	// array's addressing is not expressible as an AddrFormula.
+	// CompileAddr returns the formula for arr, or ok=false when the map
+	// does not know the array.
 	CompileAddr(arr *prog.Array) (AddrFormula, bool)
 }
 
@@ -244,14 +270,11 @@ func (r *Relayouted) Addr(arr *prog.Array, linear int64) int64 {
 
 // CompileAddr implements AddrCompiler: re-laid-out arrays use the
 // half-page interleave from their fresh region; others fall through to
-// the base layout's formula when it has one.
+// the base layout's formula.
 func (r *Relayouted) CompileAddr(arr *prog.Array) (AddrFormula, bool) {
 	b, ok := r.banks[arr]
 	if !ok {
-		if bc, ok := r.base.(AddrCompiler); ok {
-			return bc.CompileAddr(arr)
-		}
-		return AddrFormula{}, false
+		return r.base.CompileAddr(arr)
 	}
 	return AddrFormula{Base: r.newBase[arr], Elem: arr.Elem, Page: r.pageC, Bank: b}, true
 }

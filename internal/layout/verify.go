@@ -23,8 +23,8 @@ type VerifyGroup struct {
 // excess of that live estimate over the associativity, summed. Several
 // bands of one array squeezed into the same sets by a re-layout are
 // visible here whenever several references walk them in lockstep — the
-// damage mode the pairwise matrix cannot see. Like Conflicts, it needs
-// closed-form addresses (AddrCompiler) for every grouped array.
+// damage mode the pairwise matrix cannot see. Like Conflicts, it reads
+// the closed-form address formula of every grouped array.
 func Pressure(groups []VerifyGroup, am AddressMap, geom cache.Geometry) (int64, error) {
 	v, err := newVerifier(groups, am, geom)
 	if err != nil {

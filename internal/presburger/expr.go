@@ -1,6 +1,7 @@
 package presburger
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -177,4 +178,13 @@ func floorDiv(a, b int64) int64 {
 		return q - 1
 	}
 	return q
+}
+
+// appendKey appends the expression's coefficients and constant to buf.
+// Callers encode the width first.
+func (e LinExpr) appendKey(buf []byte) []byte {
+	for _, c := range e.Coef {
+		buf = binary.AppendVarint(buf, c)
+	}
+	return binary.AppendVarint(buf, e.K)
 }

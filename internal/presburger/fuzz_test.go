@@ -4,7 +4,8 @@ import "testing"
 
 // FuzzBasicSetEnumeration builds random small 2-D sets (a box plus one
 // extra affine constraint) and checks that enumeration agrees with
-// membership and cardinality.
+// membership and cardinality, and that the concatenated Rows intervals
+// are exactly the Points sequence.
 func FuzzBasicSetEnumeration(f *testing.F) {
 	f.Add(int8(0), int8(5), int8(0), int8(5), int8(1), int8(1), int8(3), true)
 	f.Add(int8(-3), int8(4), int8(-2), int8(6), int8(2), int8(-1), int8(0), false)
@@ -55,6 +56,33 @@ func FuzzBasicSetEnumeration(f *testing.F) {
 		}
 		if enumerated != want {
 			t.Fatalf("Points yielded %d, brute force = %d", enumerated, want)
+		}
+
+		var pts, rows [][2]int64
+		if err := set.Points(func(pt []int64) bool {
+			pts = append(pts, [2]int64{pt[0], pt[1]})
+			return true
+		}); err != nil {
+			t.Fatalf("Points: %v", err)
+		}
+		if err := set.Rows(func(pt []int64, lo, hi int64) bool {
+			if lo >= hi {
+				t.Fatalf("Rows yielded empty row [%d,%d) at prefix %d", lo, hi, pt[0])
+			}
+			for j := lo; j < hi; j++ {
+				rows = append(rows, [2]int64{pt[0], j})
+			}
+			return true
+		}); err != nil {
+			t.Fatalf("Rows: %v", err)
+		}
+		if len(rows) != len(pts) {
+			t.Fatalf("Rows cover %d points, Points yielded %d", len(rows), len(pts))
+		}
+		for i := range pts {
+			if rows[i] != pts[i] {
+				t.Fatalf("point %d: Rows %v, Points %v", i, rows[i], pts[i])
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package presburger
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -70,6 +71,13 @@ func (m *Map) Exprs() []LinExpr {
 // Expr returns output expression i.
 func (m *Map) Expr(i int) LinExpr { return m.exprs[i].Clone() }
 
+// EvalAt evaluates output expression i at a point without copying the
+// expression.
+func (m *Map) EvalAt(i int, pt []int64) int64 { return m.exprs[i].Eval(pt) }
+
+// Coef returns output expression i's coefficient of input variable j.
+func (m *Map) Coef(i, j int) int64 { return m.exprs[i].Coef[j] }
+
 // Apply evaluates the map at a point, writing into dst when it has the
 // right length (allocating otherwise) and returning it.
 func (m *Map) Apply(pt []int64, dst []int64) []int64 {
@@ -117,6 +125,18 @@ func (m *Map) Compose(inner *Map) (*Map, error) {
 		exprs[i] = e
 	}
 	return NewMap(inner.in, exprs...)
+}
+
+// AppendKey appends a binary encoding of the map's input dimension and
+// output expressions to buf. Maps with equal encodings are the same
+// function; variable names are not encoded.
+func (m *Map) AppendKey(buf []byte) []byte {
+	buf = binary.AppendVarint(buf, int64(m.in.Dim()))
+	buf = binary.AppendVarint(buf, int64(len(m.exprs)))
+	for _, e := range m.exprs {
+		buf = e.appendKey(buf)
+	}
+	return buf
 }
 
 func (m *Map) String() string {

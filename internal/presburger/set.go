@@ -1,6 +1,7 @@
 package presburger
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -146,6 +147,19 @@ func (b *BasicSet) Contains(pt []int64) bool {
 	return true
 }
 
+// AppendKey appends a binary encoding of the set's dimension and
+// constraints to buf. Sets with equal encodings hold the same points;
+// variable names are not encoded.
+func (b *BasicSet) AppendKey(buf []byte) []byte {
+	buf = binary.AppendVarint(buf, int64(b.space.Dim()))
+	buf = binary.AppendVarint(buf, int64(len(b.cons)))
+	for _, c := range b.cons {
+		buf = binary.AppendVarint(buf, int64(c.Kind))
+		buf = c.Expr.appendKey(buf)
+	}
+	return buf
+}
+
 func (b *BasicSet) String() string {
 	var parts []string
 	for _, c := range b.cons {
@@ -273,6 +287,28 @@ func (b *BasicSet) Bounds() (lo, hi []int64, ok, empty bool) {
 // The slice passed to yield is reused between calls; copy it to retain.
 // Points returns an error when the set cannot be bounded.
 func (b *BasicSet) Points(yield func(pt []int64) bool) error {
+	last := b.space.Dim() - 1
+	return b.Rows(func(pt []int64, lo, hi int64) bool {
+		for v := lo; v < hi; v++ {
+			pt[last] = v
+			if !yield(pt) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// Rows enumerates the set one innermost row at a time: the outer n−1
+// coordinates in the same lexicographic order as Points, and for each
+// prefix the non-empty half-open interval [lo, hi) of the innermost
+// coordinate. Concatenating the rows' points reproduces Points exactly.
+// The slice passed to yield has the full width n: its first n−1 entries
+// hold the prefix and its last entry is scratch the caller may write
+// (to evaluate expressions at points of the row). It is reused between
+// calls. Enumeration stops early if yield returns false. Rows returns an
+// error when the set cannot be bounded.
+func (b *BasicSet) Rows(yield func(pt []int64, lo, hi int64) bool) error {
 	lo, hi, ok, empty := b.Bounds()
 	if empty {
 		return nil
@@ -303,11 +339,8 @@ func (b *BasicSet) Points(yield func(pt []int64) bool) error {
 		}
 		tighten[maxVar] = append(tighten[maxVar], c)
 	}
-	var rec func(d int) bool
-	rec = func(d int) bool {
-		if d == n {
-			return yield(pt)
-		}
+	// bound returns dimension d's range [dlo, dhi] under the prefix.
+	bound := func(d int) (int64, int64) {
 		dlo, dhi := lo[d], hi[d]
 		for _, c := range tighten[d] {
 			cd := c.Expr.Coef[d]
@@ -325,6 +358,17 @@ func (b *BasicSet) Points(yield func(pt []int64) bool) error {
 					dhi = v
 				}
 			}
+		}
+		return dlo, dhi
+	}
+	var rec func(d int) bool
+	rec = func(d int) bool {
+		dlo, dhi := bound(d)
+		if d == n-1 {
+			if dlo > dhi {
+				return true
+			}
+			return yield(pt, dlo, dhi+1)
 		}
 		for v := dlo; v <= dhi; v++ {
 			pt[d] = v
@@ -371,7 +415,7 @@ func (b *BasicSet) Card() (int64, error) {
 		return n, nil
 	}
 	var n int64
-	err := b.Points(func([]int64) bool { n++; return true })
+	err := b.Rows(func(_ []int64, lo, hi int64) bool { n += hi - lo; return true })
 	return n, err
 }
 
@@ -385,7 +429,7 @@ func (b *BasicSet) IsEmpty() (bool, error) {
 		return false, fmt.Errorf("presburger: set %v is unbounded; emptiness check unsupported", b)
 	}
 	found := false
-	err := b.Points(func([]int64) bool { found = true; return false })
+	err := b.Rows(func([]int64, int64, int64) bool { found = true; return false })
 	return !found, err
 }
 

@@ -141,6 +141,54 @@ func MustRef(a *Array, m *presburger.Map, kind AccessKind) Ref {
 	return r
 }
 
+// Piece returns the affine piece of the reference's linear element index
+// that starts at the iteration point pt and runs along its innermost
+// coordinate: for t in [0, n), the point pt with the innermost coordinate
+// advanced by t touches element lin + t·step (lin = LinearIndex(Map(pt))).
+// The piece ends before hi, the exclusive end of pt's row, or where a
+// subscript c·x + K crosses a multiple of its extent d, because
+// LinearIndex wraps every subscript (negative ones included) modulo its
+// extent. n ≥ 1 when pt's innermost coordinate is below hi. Looping
+// x += n over a row splits it into the pieces; pt's innermost
+// coordinate is the only entry the caller needs to update.
+func (r Ref) Piece(pt []int64, hi int64) (lin, step, n int64) {
+	last := len(pt) - 1
+	n = hi - pt[last]
+	for k, d := range r.Array.Dims {
+		s := r.Map.EvalAt(k, pt)
+		q := floorDiv(s, d)
+		lin = lin*d + s - q*d
+		c := r.Map.Coef(k, last)
+		if d == 1 || c == 0 {
+			// The wrapped subscript is constant along the row.
+			step *= d
+			continue
+		}
+		step = step*d + c
+		// Steps until s leaves [q·d, (q+1)·d).
+		var m int64
+		if c > 0 {
+			m = ceilDiv((q+1)*d-s, c)
+		} else {
+			m = (s-q*d)/(-c) + 1
+		}
+		n = min(n, m)
+	}
+	return lin, step, n
+}
+
+// floorDiv returns ⌊a/b⌋ for b > 0.
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 && a < 0 {
+		q--
+	}
+	return q
+}
+
+// ceilDiv returns ⌈a/b⌉ for a ≥ 0, b > 0.
+func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
+
 func (r Ref) String() string {
 	return fmt.Sprintf("%s %s%v", r.Kind, r.Array.Name, r.Map)
 }

@@ -1,9 +1,7 @@
 package sharing
 
 import (
-	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -109,15 +107,16 @@ func (a *Analyzer) MatrixParallel(g *taskgraph.Graph, workers int) (*Matrix, err
 		pos:  make(map[taskgraph.ProcID]int, n),
 		vals: make([][]int64, n),
 	}
+	cells := make([]int64, n*n) // one zeroed block; the sweep writes nonzero cells only
 	for i, id := range ids {
 		m.pos[id] = i
-		m.vals[i] = make([]int64, n)
+		m.vals[i] = cells[i*n : (i+1)*n : (i+1)*n]
 	}
 
 	// Phase 1: data spaces, one task per process on the pool.
 	spaces := make([]DataSpace, n)
 	if err := fanOut(workers, n, func(i int) error {
-		ds, err := a.dataSpaceDeduped(g.Process(ids[i]).Spec)
+		ds, err := a.DataSpace(g.Process(ids[i]).Spec)
 		if err != nil {
 			return err
 		}
@@ -156,88 +155,15 @@ func (a *Analyzer) MatrixParallel(g *taskgraph.Graph, workers int) (*Matrix, err
 				jLo = i + 1
 			}
 			for j := jLo; j < jHi; j++ {
-				s := sharedBytes(sums[i], sums[j])
-				m.vals[i][j] = s
-				m.vals[j][i] = s
+				if s := sharedBytes(sums[i], sums[j]); s != 0 {
+					m.vals[i][j] = s
+					m.vals[j][i] = s
+				}
 			}
 		}
 		return nil
 	})
 	return m, nil
-}
-
-// setKey describes one array's element set by content: the iteration
-// space, every access map targeting the array (in reference order), and
-// the array's shape (dims drive LinearIndex; the element size is
-// included for completeness). Two array groups with equal keys enumerate
-// to value-identical sets, so the blocked path shares one immutable Set
-// between them.
-func setKey(spec *prog.ProcessSpec, arr *prog.Array) string {
-	var b strings.Builder
-	b.Grow(64)
-	fmt.Fprintf(&b, "%s|%v/%d", spec.IterSpace, arr.Dims, arr.Elem)
-	for _, r := range spec.Refs {
-		if r.Array == arr {
-			fmt.Fprintf(&b, "|%s", r.Map)
-		}
-	}
-	return b.String()
-}
-
-// dataSpaceDeduped returns the spec's data space, sharing per-array
-// element sets with previously analyzed content-equal array groups and
-// enumerating only novel ones. Results are value-identical to
-// ComputeDataSpace (the sequential oracle, which never consults the
-// content cache) — pinned by the matrix differential tests.
-func (a *Analyzer) dataSpaceDeduped(spec *prog.ProcessSpec) (DataSpace, error) {
-	a.mu.Lock()
-	if ds, ok := a.cache[spec]; ok {
-		a.mu.Unlock()
-		return ds, nil
-	}
-	arrs := spec.Arrays()
-	keys := make([]string, len(arrs))
-	ds := make(DataSpace, len(arrs))
-	complete := true
-	for i, arr := range arrs {
-		keys[i] = setKey(spec, arr)
-		if s, ok := a.sets[keys[i]]; ok {
-			ds[arr] = s
-		} else {
-			complete = false
-		}
-	}
-	a.mu.Unlock()
-	if !complete {
-		full, err := ComputeDataSpace(spec)
-		if err != nil {
-			return nil, err
-		}
-		a.mu.Lock()
-		for i, arr := range arrs {
-			s, ok := full[arr]
-			if !ok {
-				continue
-			}
-			// First content-equal set wins so concurrent computes converge
-			// on one shared value.
-			if prior, ok := a.sets[keys[i]]; ok {
-				s = prior
-			} else {
-				a.sets[keys[i]] = s
-			}
-			ds[arr] = s
-		}
-		a.mu.Unlock()
-	}
-	a.mu.Lock()
-	if prior, ok := a.cache[spec]; ok {
-		ds = prior
-	} else {
-		a.cache[spec] = ds
-	}
-	a.mu.Unlock()
-	return ds, nil
 }
 
 // summarize flattens one data space into a footprint summary, assigning

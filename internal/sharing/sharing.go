@@ -8,6 +8,7 @@
 package sharing
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -43,27 +44,37 @@ func (d DataSpace) SharedBytes(o DataSpace) int64 {
 	return n
 }
 
-// ComputeDataSpace enumerates the process's iteration space once per
-// reference and collects the touched element indices per array.
+// ComputeDataSpace collects the element indices each reference of the
+// process touches, per array. It walks the iteration space one innermost
+// row at a time and splits each row into the reference's affine pieces
+// (prog.Ref.Piece): a constant piece adds one element and a unit-stride
+// piece one range, whatever its length; any other stride adds its
+// elements one by one.
 func ComputeDataSpace(spec *prog.ProcessSpec) (DataSpace, error) {
 	builders := make(map[*prog.Array]*eset.Builder)
-	idx := make([]int64, 0, 4)
-	for _, ref := range spec.Refs {
+	refB := make([]*eset.Builder, len(spec.Refs))
+	for i, ref := range spec.Refs {
 		b, ok := builders[ref.Array]
 		if !ok {
 			b = eset.NewBuilder()
 			builders[ref.Array] = b
 		}
-		arr := ref.Array
-		m := ref.Map
-		err := spec.IterSpace.Points(func(pt []int64) bool {
-			idx = m.Apply(pt, idx)
-			b.Add(arr.LinearIndex(idx))
-			return true
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sharing: process %s: %w", spec.Name, err)
+		refB[i] = b
+	}
+	err := spec.IterSpace.Rows(func(pt []int64, lo, hi int64) bool {
+		last := len(pt) - 1
+		for i, ref := range spec.Refs {
+			for x := lo; x < hi; {
+				pt[last] = x
+				lin, step, n := ref.Piece(pt, hi)
+				addPiece(refB[i], lin, step, n)
+				x += n
+			}
 		}
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sharing: process %s: %w", spec.Name, err)
 	}
 	ds := make(DataSpace, len(builders))
 	for arr, b := range builders {
@@ -72,10 +83,27 @@ func ComputeDataSpace(spec *prog.ProcessSpec) (DataSpace, error) {
 	return ds, nil
 }
 
+// addPiece adds the elements lin + t·step, t in [0, n), to b.
+func addPiece(b *eset.Builder, lin, step, n int64) {
+	switch step {
+	case 0:
+		b.Add(lin)
+	case 1:
+		b.AddRange(lin, lin+n)
+	case -1:
+		b.AddRange(lin-n+1, lin+1)
+	default:
+		for t := int64(0); t < n; t++ {
+			b.Add(lin + t*step)
+		}
+	}
+}
+
 // Analyzer memoizes data spaces per process spec so that sharing matrices
-// over large EPGs reuse footprint computations. An Analyzer is safe for
-// concurrent use; the blocked matrix construction fans data-space
-// computation out over a worker pool against a shared Analyzer.
+// over large EPGs, and the LSM mapping after them, reuse footprint
+// computations. An Analyzer is safe for concurrent use; the blocked
+// matrix construction fans data-space computation out over a worker
+// pool against a shared Analyzer.
 type Analyzer struct {
 	mu    sync.Mutex
 	cache map[*prog.ProcessSpec]DataSpace
@@ -83,8 +111,6 @@ type Analyzer struct {
 	// space, access maps, array shape): generated XL mixes repeat a few
 	// app templates across hundreds of tasks, and every repetition's
 	// sets are value-identical even though the array objects differ.
-	// Only the blocked parallel path consults it (dataSpaceDeduped), so
-	// the sequential path stays an independent enumeration-based oracle.
 	sets map[string]*eset.Set
 }
 
@@ -96,7 +122,30 @@ func NewAnalyzer() *Analyzer {
 	}
 }
 
-// DataSpace returns the (memoized) data space of the spec.
+// setKey describes one array's element set by content: the iteration
+// space, the array's shape (dims drive LinearIndex; the element size is
+// included for completeness) and every access map targeting the array,
+// in reference order. Two array groups with equal keys yield
+// value-identical sets, so the analyzer shares one immutable Set
+// between them.
+func setKey(spec *prog.ProcessSpec, arr *prog.Array) string {
+	buf := spec.IterSpace.AppendKey(make([]byte, 0, 128))
+	buf = binary.AppendVarint(buf, arr.Elem)
+	buf = binary.AppendVarint(buf, int64(len(arr.Dims)))
+	for _, d := range arr.Dims {
+		buf = binary.AppendVarint(buf, d)
+	}
+	for _, r := range spec.Refs {
+		if r.Array == arr {
+			buf = r.Map.AppendKey(buf)
+		}
+	}
+	return string(buf)
+}
+
+// DataSpace returns the (memoized) data space of the spec, sharing
+// per-array element sets with previously analyzed content-equal array
+// groups and computing only novel ones.
 func (a *Analyzer) DataSpace(spec *prog.ProcessSpec) (DataSpace, error) {
 	a.mu.Lock()
 	ds, ok := a.cache[spec]
@@ -104,9 +153,43 @@ func (a *Analyzer) DataSpace(spec *prog.ProcessSpec) (DataSpace, error) {
 	if ok {
 		return ds, nil
 	}
-	ds, err := ComputeDataSpace(spec)
-	if err != nil {
-		return nil, err
+	arrs := spec.Arrays()
+	keys := make([]string, len(arrs))
+	for i, arr := range arrs {
+		keys[i] = setKey(spec, arr)
+	}
+	ds = make(DataSpace, len(arrs))
+	complete := true
+	a.mu.Lock()
+	for i, arr := range arrs {
+		if s, ok := a.sets[keys[i]]; ok {
+			ds[arr] = s
+		} else {
+			complete = false
+		}
+	}
+	a.mu.Unlock()
+	if !complete {
+		full, err := ComputeDataSpace(spec)
+		if err != nil {
+			return nil, err
+		}
+		a.mu.Lock()
+		for i, arr := range arrs {
+			s, ok := full[arr]
+			if !ok {
+				continue
+			}
+			// First content-equal set wins so concurrent computes converge
+			// on one shared value.
+			if prior, ok := a.sets[keys[i]]; ok {
+				s = prior
+			} else {
+				a.sets[keys[i]] = s
+			}
+			ds[arr] = s
+		}
+		a.mu.Unlock()
 	}
 	a.mu.Lock()
 	// Concurrent computes of the same spec are idempotent; first store wins

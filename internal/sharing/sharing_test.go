@@ -243,8 +243,16 @@ func TestDataSpaceUnboundedIterSpaceFails(t *testing.T) {
 	unbounded := presburger.MustBasicSet(sp, presburger.GEZero(presburger.Var(1, 0)))
 	spec := prog.MustProcessSpec("p", unbounded, 0,
 		prog.Ref1D(a, prog.Read, sp, []int64{1}, 0))
-	if _, err := ComputeDataSpace(spec); err == nil {
-		t.Error("unbounded iteration space should fail")
+	_, err := ComputeDataSpace(spec)
+	if err == nil {
+		t.Fatal("unbounded iteration space should fail")
+	}
+	const want = "sharing: process p: presburger: set {[i]: i >= 0} is unbounded; cannot enumerate"
+	if err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
+	}
+	if _, oerr := pointDataSpace(spec); oerr == nil || oerr.Error() != err.Error() {
+		t.Errorf("error %q, point oracle %v", err, oerr)
 	}
 }
 

@@ -121,8 +121,17 @@ func (g *Generator) RLE(spec *prog.ProcessSpec) (*RLEStream, error) {
 	return s, nil
 }
 
-// compileRLE walks the spec's iteration space once and greedily cuts the
-// address stream into constant-delta segments, interning delta patterns.
+// compileRLE cuts the spec's address stream into constant-delta
+// segments without visiting its iteration points one by one. The stream
+// is described by its per-iteration delta vectors D(t) = A(t+1) − A(t),
+// A(t) being the addresses of iteration t's references, in run-length
+// form: each innermost row of the iteration space splits into the
+// common pieces on which every reference's address is affine
+// (prog.Ref.Piece, then layout.AddrFormula.AffineSteps), D is constant
+// inside such a piece, and each piece boundary, within a row or between
+// rows, contributes one explicit vector. The greedy cut of rleCutter then
+// consumes those runs, so its cost grows with the number of pieces, not
+// iterations.
 func compileRLE(spec *prog.ProcessSpec, am layout.AddressMap) (*RLEStream, error) {
 	nrefs := len(spec.Refs)
 	s := &RLEStream{nrefs: nrefs, flags: make([]byte, nrefs)}
@@ -135,88 +144,158 @@ func compileRLE(spec *prog.ProcessSpec, am layout.AddressMap) (*RLEStream, error
 		s.cumIters = []int64{0}
 		return s, nil
 	}
-	fns := resolveRefFns(spec, am)
+	fns, err := resolveRefFns(spec, am)
+	if err != nil {
+		return nil, err
+	}
 	for i := range fns {
 		s.flags[i] = fns[i].flag
 	}
 
-	patIdx := make(map[string]int32)
-	patKey := make([]byte, nrefs*8)
-	intern := func(delta []int64) int32 {
-		for j, d := range delta {
-			binary.LittleEndian.PutUint64(patKey[j*8:], uint64(d))
-		}
-		if p, ok := patIdx[string(patKey)]; ok {
-			return p
-		}
-		p := int32(len(s.pats) / max(nrefs, 1))
-		patIdx[string(patKey)] = p
-		s.pats = append(s.pats, delta...)
-		return p
-	}
-
+	c := newRLECutter(s)
 	var (
-		idxBuf    = make([]int64, 0, 4)
-		prev      = make([]int64, nrefs)
-		cur       = make([]int64, nrefs)
-		delta     = make([]int64, nrefs)
-		segCount  int64
-		segPat    = int32(-1)
-		firstIter = true
+		addr  = make([]int64, nrefs) // each reference's address at point x
+		astep = make([]int64, nrefs) // its address delta per iteration in its piece
+		end   = make([]int64, nrefs) // the exclusive end x of its piece
 	)
-	closeSeg := func() {
-		if segCount == 0 {
-			return
+	err = spec.IterSpace.Rows(func(pt []int64, lo, hi int64) bool {
+		last := len(pt) - 1
+		for j := range end {
+			end[j] = lo
 		}
-		if segPat < 0 {
-			// Single-iteration segment (deltas never observed): pattern is
-			// irrelevant for playback; intern zeroes so every segment has one.
-			for j := range delta {
-				delta[j] = 0
+		for x := lo; x < hi; {
+			pt[last] = x
+			v := hi
+			for j := range fns {
+				fn := &fns[j]
+				if end[j] == x {
+					lin, step, n := fn.ref.Piece(pt, hi)
+					addr[j] = fn.f.Addr(lin)
+					astep[j] = step * fn.f.Elem
+					end[j] = x + fn.f.AffineSteps(lin, step, n)
+				}
+				v = min(v, end[j])
 			}
-			segPat = intern(delta)
-		}
-		s.segs = append(s.segs, rleSeg{count: segCount, pat: segPat})
-		segCount, segPat = 0, -1
-	}
-	err := spec.IterSpace.Points(func(pt []int64) bool {
-		for i := range fns {
-			cur[i], idxBuf = fns[i].addr(am, pt, idxBuf)
-		}
-		switch {
-		case firstIter:
-			firstIter = false
-			s.starts = append(s.starts, cur...)
-			segCount = 1
-		default:
-			for j := range delta {
-				delta[j] = cur[j] - prev[j]
+			// Points x..v-1 touch addr + t·astep: one step into the piece
+			// from the previous point, then v−x−1 constant deltas.
+			c.next(addr)
+			if v-x > 1 {
+				c.run(astep, v-x-1)
 			}
-			if segPat < 0 {
-				// Second iteration of a segment fixes its pattern.
-				segPat = intern(delta)
-				segCount++
-			} else if patMatches(s.pats, segPat, nrefs, delta) {
-				segCount++
-			} else {
-				closeSeg()
-				s.starts = append(s.starts, cur...)
-				segCount = 1
+			for j := range addr {
+				addr[j] += (v - x) * astep[j]
 			}
+			x = v
 		}
-		prev, cur = cur, prev
 		return true
 	})
 	if err != nil {
 		return nil, fmt.Errorf("trace: process %s: %w", spec.Name, err)
 	}
-	closeSeg()
+	c.closeSeg()
 
 	s.cumIters = make([]int64, len(s.segs)+1)
 	for i, seg := range s.segs {
 		s.cumIters[i+1] = s.cumIters[i] + seg.count
 	}
 	return s, nil
+}
+
+// rleCutter greedily cuts a delta stream into segments: a segment grows
+// while each iteration's delta vector equals the one fixed by its second
+// iteration, and a differing delta starts a new segment at that
+// iteration. Delta patterns are interned in the order segments first use
+// them.
+type rleCutter struct {
+	s        *RLEStream
+	patIdx   map[string]int32
+	patKey   []byte
+	started  bool
+	cur      []int64 // addresses of the last iteration consumed
+	delta    []int64 // scratch for next
+	segCount int64
+	segPat   int32 // -1 until the segment's second iteration fixes it
+}
+
+func newRLECutter(s *RLEStream) *rleCutter {
+	return &rleCutter{
+		s:      s,
+		patIdx: make(map[string]int32),
+		patKey: make([]byte, s.nrefs*8),
+		cur:    make([]int64, s.nrefs),
+		delta:  make([]int64, s.nrefs),
+		segPat: -1,
+	}
+}
+
+// intern returns the pattern index of delta, adding it when new.
+func (c *rleCutter) intern(delta []int64) int32 {
+	for j, d := range delta {
+		binary.LittleEndian.PutUint64(c.patKey[j*8:], uint64(d))
+	}
+	if p, ok := c.patIdx[string(c.patKey)]; ok {
+		return p
+	}
+	p := int32(len(c.s.pats) / c.s.nrefs)
+	c.patIdx[string(c.patKey)] = p
+	c.s.pats = append(c.s.pats, delta...)
+	return p
+}
+
+// next consumes one iteration whose references touch addr; the first
+// one opens the first segment.
+func (c *rleCutter) next(addr []int64) {
+	if !c.started {
+		c.started = true
+		copy(c.cur, addr)
+		c.s.starts = append(c.s.starts, addr...)
+		c.segCount = 1
+		return
+	}
+	for j, a := range addr {
+		c.delta[j] = a - c.cur[j]
+	}
+	c.run(c.delta, 1)
+}
+
+// run consumes n ≥ 1 iterations that each advance every reference by
+// delta.
+func (c *rleCutter) run(delta []int64, n int64) {
+	switch {
+	case c.segPat < 0:
+		// The segment's second iteration fixes its pattern.
+		c.segPat = c.intern(delta)
+		c.segCount += n
+	case patMatches(c.s.pats, c.segPat, c.s.nrefs, delta):
+		c.segCount += n
+	default:
+		c.closeSeg()
+		for j, d := range delta {
+			c.s.starts = append(c.s.starts, c.cur[j]+d)
+		}
+		c.segCount = 1
+		if n > 1 {
+			c.segPat = c.intern(delta)
+			c.segCount = n
+		}
+	}
+	for j, d := range delta {
+		c.cur[j] += n * d
+	}
+}
+
+// closeSeg appends the open segment, if any.
+func (c *rleCutter) closeSeg() {
+	if c.segCount == 0 {
+		return
+	}
+	if c.segPat < 0 {
+		// Single-iteration segment (deltas never observed): pattern is
+		// irrelevant for playback; intern zeroes so every segment has one.
+		c.segPat = c.intern(make([]int64, c.s.nrefs))
+	}
+	c.s.segs = append(c.s.segs, rleSeg{count: c.segCount, pat: c.segPat})
+	c.segCount, c.segPat = 0, -1
 }
 
 // patMatches reports whether pattern p equals delta.

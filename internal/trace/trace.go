@@ -4,16 +4,16 @@
 // paper's RRS baseline) can stop a process mid-stream and continue it
 // later, possibly on a different core.
 //
-// Streams are compiled: each (ProcessSpec, AddressMap) pair is walked
-// once — affine maps applied, subscripts linearized, addresses resolved —
-// into a flat structure-of-arrays form (addresses plus packed flag
-// bytes). Cursors are then plain indices into the compiled stream, so the
-// simulator's per-access cost is two slice loads instead of an affine
-// Apply, a row-major linearization, and an interface dispatch. Compiled
-// streams are shared by all cursors of a generator, and — when the
-// address map states its per-array addressing in closed form
-// (layout.AddrCompiler) — across generators and runs through a bounded
-// package-level cache, so repeated experiments pay compilation once.
+// Streams are compiled once per (ProcessSpec, AddressMap) pair. The
+// simulator runs the strided run-length encoding (RLEStream), which is
+// built from the affine pieces of the references' addresses rather than
+// by visiting iteration points; the flat structure-of-arrays form
+// (Stream: addresses plus packed flag bytes) walks every point and
+// serves trace inspection and the engine's test oracle. Compiled streams
+// are shared by all cursors of a generator and, keyed by every
+// reference's closed-form address formula (layout.AddrFormula), across
+// generators and runs through a bounded package-level cache, so repeated
+// experiments pay compilation once.
 package trace
 
 import (
@@ -119,16 +119,12 @@ const (
 func (s *Stream) MemBytes() int64 { return int64(len(s.Addrs)) * 9 }
 
 // addrSignature returns a string uniquely describing the addressing of
-// every reference of the spec under am, or ok=false when am cannot state
-// it in closed form.
+// every reference of the spec under am, or ok=false when am does not
+// know one of the spec's arrays.
 func addrSignature(spec *prog.ProcessSpec, am layout.AddressMap) (string, bool) {
-	ac, ok := am.(layout.AddrCompiler)
-	if !ok {
-		return "", false
-	}
 	buf := make([]byte, 0, 16*len(spec.Refs))
 	for _, ref := range spec.Refs {
-		f, ok := ac.CompileAddr(ref.Array)
+		f, ok := am.CompileAddr(ref.Array)
 		if !ok {
 			return "", false
 		}
@@ -185,46 +181,39 @@ func (g *Generator) Stream(spec *prog.ProcessSpec) (*Stream, error) {
 	return s, nil
 }
 
-// refFn is one reference's resolved address function: the closed-form
-// formula when the map provides one, the interface call otherwise.
+// refFn is one reference's resolved addressing: its closed-form address
+// formula and its per-access flag byte.
 type refFn struct {
 	ref  prog.Ref
 	flag byte
 	f    layout.AddrFormula
-	fast bool
 }
 
 // addr resolves the reference's address at an iteration point; idxBuf is
 // caller-owned scratch, returned for reuse.
-func (fn *refFn) addr(am layout.AddressMap, pt, idxBuf []int64) (int64, []int64) {
+func (fn *refFn) addr(pt, idxBuf []int64) (int64, []int64) {
 	idxBuf = fn.ref.Map.Apply(pt, idxBuf)
-	lin := fn.ref.Array.LinearIndex(idxBuf)
-	if fn.fast {
-		return fn.f.Addr(lin), idxBuf
-	}
-	return am.Addr(fn.ref.Array, lin), idxBuf
+	return fn.f.Addr(fn.ref.Array.LinearIndex(idxBuf)), idxBuf
 }
 
 // resolveRefFns resolves every reference of the spec once against the
 // address map, packing the per-access flag byte alongside.
-func resolveRefFns(spec *prog.ProcessSpec, am layout.AddressMap) []refFn {
+func resolveRefFns(spec *prog.ProcessSpec, am layout.AddressMap) ([]refFn, error) {
 	fns := make([]refFn, len(spec.Refs))
-	ac, hasAC := am.(layout.AddrCompiler)
 	for i, ref := range spec.Refs {
-		fns[i].ref = ref
+		f, ok := am.CompileAddr(ref.Array)
+		if !ok {
+			return nil, fmt.Errorf("trace: process %s: array %s is not in the address map", spec.Name, ref.Array.Name)
+		}
+		fns[i] = refFn{ref: ref, f: f}
 		if ref.Kind == prog.Write {
 			fns[i].flag = FlagWrite
 		}
 		if i == 0 {
 			fns[i].flag |= FlagNewIter
 		}
-		if hasAC {
-			if f, ok := ac.CompileAddr(ref.Array); ok {
-				fns[i].f, fns[i].fast = f, true
-			}
-		}
 	}
-	return fns
+	return fns, nil
 }
 
 // compile walks the spec's iteration space once and materializes the full
@@ -238,13 +227,16 @@ func compile(spec *prog.ProcessSpec, am layout.AddressMap) (*Stream, error) {
 		Addrs: make([]int64, 0, total),
 		Flags: make([]byte, 0, total),
 	}
-	fns := resolveRefFns(spec, am)
+	fns, err := resolveRefFns(spec, am)
+	if err != nil {
+		return nil, err
+	}
 	idxBuf := make([]int64, 0, 4)
 	err = spec.IterSpace.Points(func(pt []int64) bool {
 		for i := range fns {
 			fn := &fns[i]
 			var addr int64
-			addr, idxBuf = fn.addr(am, pt, idxBuf)
+			addr, idxBuf = fn.addr(pt, idxBuf)
 			s.Addrs = append(s.Addrs, addr)
 			s.Flags = append(s.Flags, fn.flag)
 		}

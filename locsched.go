@@ -211,9 +211,10 @@ func NewProcessSpec(name string, iter *IterSpace, computePerIter int64, refs ...
 }
 
 // ComputeSharing builds the paper's sharing matrix (Figure 2a) for a
-// graph: shared bytes between every pair of processes.
+// graph: shared bytes between every pair of processes. It runs the
+// blocked construction on one goroutine.
 func ComputeSharing(g *Graph) (*SharingMatrix, error) {
-	return sharing.ComputeMatrix(g)
+	return sharing.ComputeMatrixParallel(g, 1)
 }
 
 // ComputeSharingParallel builds the sharing matrix with the blocked,
