@@ -21,10 +21,8 @@ import (
 	"locsched/internal/layout"
 	"locsched/internal/mpsoc"
 	"locsched/internal/presburger"
-	"locsched/internal/prog"
 	"locsched/internal/sched"
 	"locsched/internal/sharing"
-	"locsched/internal/trace"
 	"locsched/internal/workload"
 )
 
@@ -217,43 +215,6 @@ func BenchmarkSweepXLGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamMemory reports the resident compiled-stream bytes of
-// the whole Table 1 suite in both encodings (flat vs strided RLE) under
-// the packed base layout — the ≥4× reduction criterion, measured.
-func BenchmarkStreamMemory(b *testing.B) {
-	cfg := benchConfig()
-	apps, err := workload.BuildAll(cfg.Workload)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var flatBytes, rleBytes int64
-	for i := 0; i < b.N; i++ {
-		flatBytes, rleBytes = 0, 0
-		for _, app := range apps {
-			base, err := layout.Pack(cfg.Align, app.Arrays...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			gen := trace.NewGenerator(base)
-			for _, p := range app.Graph.Processes() {
-				flat, err := gen.Stream(p.Spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rle, err := gen.RLE(p.Spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				flatBytes += flat.MemBytes()
-				rleBytes += rle.MemBytes()
-			}
-		}
-	}
-	b.ReportMetric(float64(flatBytes), "flat_bytes")
-	b.ReportMetric(float64(rleBytes), "rle_bytes")
-	b.ReportMetric(float64(flatBytes)/float64(rleBytes), "reduction×")
-}
-
 // BenchmarkTable1Build measures constructing the whole application suite
 // (Table 1): graphs, arrays, and dependences.
 func BenchmarkTable1Build(b *testing.B) {
@@ -296,7 +257,7 @@ func BenchmarkLocalitySchedule(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := sharing.ComputeMatrix(epg)
+	m, err := sharing.ComputeMatrixParallel(epg, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -324,7 +285,7 @@ func BenchmarkDataMapping(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := sharing.ComputeMatrix(epg)
+	m, err := sharing.ComputeMatrixParallel(epg, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -353,7 +314,7 @@ func BenchmarkAblationStaticMode(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				m, err := sharing.ComputeMatrix(epg)
+				m, err := sharing.ComputeMatrixParallel(epg, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -465,27 +426,6 @@ func BenchmarkCacheAccessClassified(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceCursor measures lazy trace generation throughput.
-func BenchmarkTraceCursor(b *testing.B) {
-	arr := prog.MustArray("A", 4, 1<<20)
-	iter := prog.Seg("i", 0, 4096)
-	spec := prog.MustProcessSpec("p", iter, 1,
-		prog.StreamRef(arr, prog.Read, iter, 1, 0),
-		prog.StreamRef(arr, prog.Write, iter, 2, 64),
-	)
-	gen := trace.NewGenerator(layout.MustPack(32, arr))
-	cur, err := gen.NewCursor(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := cur.Next(); !ok {
-			cur.Reset()
-		}
-	}
-}
-
 // BenchmarkPresburgerCard measures exact counting of the paper's Figure 1
 // iteration space.
 func BenchmarkPresburgerCard(b *testing.B) {
@@ -531,9 +471,9 @@ func xlAnalysisGraph(b *testing.B, cores int) *locsched.Graph {
 }
 
 // BenchmarkComputeMatrixXL measures sharing-matrix construction on the
-// XL ladder's generated mixes: the sequential pairwise path against the
-// blocked parallel construction at 1 and 4 workers (the two are
-// bit-identical; see the sharing differential tests).
+// XL ladder's generated mixes at 1 and 4 workers. Its pairwise oracle
+// runs on the same inputs as internal/sharing's BenchmarkComputeMatrixXL
+// (the two are bit-identical; see the sharing differential tests).
 func BenchmarkComputeMatrixXL(b *testing.B) {
 	for _, cores := range []int{128, 512, 1024} {
 		// The graph builds inside the cores-level Run so filtered
@@ -541,20 +481,12 @@ func BenchmarkComputeMatrixXL(b *testing.B) {
 		// multi-thousand-process setup entirely.
 		b.Run(fmt.Sprintf("%dc", cores), func(b *testing.B) {
 			g := xlAnalysisGraph(b, cores)
-			// Each path builds a fresh Analyzer per iteration (exactly what
-			// a cachedMatrix miss does), so the numbers cover the full
+			// Each iteration builds a fresh Analyzer (exactly what a
+			// cachedMatrix miss does), so the numbers cover the full
 			// analysis phase — data spaces plus the pair sweep. The
-			// parallel path's data-space phase additionally benefits from
-			// content dedup of repeated app templates; that is part of its
-			// design, not benchmark noise (see PERFORMANCE.md).
-			b.Run("seq", func(b *testing.B) {
-				b.ReportMetric(float64(g.Len()), "procs")
-				for i := 0; i < b.N; i++ {
-					if _, err := sharing.ComputeMatrix(g); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			// data-space phase additionally benefits from content dedup
+			// of repeated app templates; that is part of its design, not
+			// benchmark noise (see PERFORMANCE.md).
 			for _, workers := range []int{1, 4} {
 				b.Run(fmt.Sprintf("par%d", workers), func(b *testing.B) {
 					b.ReportMetric(float64(g.Len()), "procs")
@@ -569,10 +501,10 @@ func BenchmarkComputeMatrixXL(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalityScheduleXL measures the Figure 3 greedy on the XL
-// ladder's generated mixes: the retained full-rescan reference against
-// the incremental formulation (bit-identical; see the sched differential
-// tests).
+// BenchmarkLocalityScheduleXL measures the incremental Figure 3 greedy
+// on the XL ladder's generated mixes. Its full-rescan oracle runs on the
+// same inputs as internal/sched's BenchmarkLocalityScheduleXL (the two
+// are bit-identical; see the sched differential tests).
 func BenchmarkLocalityScheduleXL(b *testing.B) {
 	for _, cores := range []int{128, 512, 1024} {
 		cores := cores
@@ -585,14 +517,6 @@ func BenchmarkLocalityScheduleXL(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Run("rescan", func(b *testing.B) {
-				b.ReportMetric(float64(g.Len()), "procs")
-				for i := 0; i < b.N; i++ {
-					if _, err := sched.LocalityScheduleRescan(g, m, cores); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 			b.Run("incremental", func(b *testing.B) {
 				b.ReportMetric(float64(g.Len()), "procs")
 				for i := 0; i < b.N; i++ {

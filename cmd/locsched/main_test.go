@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -128,5 +130,24 @@ func TestTable1Output(t *testing.T) {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("table1 output missing %q", want)
 		}
+	}
+}
+
+// TestAblateGolden: `locsched ablate` on the default machine must stay
+// byte-identical to testdata/ablate.golden. The ablations run through
+// the same cell pipeline as the figures, so this pins that the static
+// dispatch modes, replacement and indexing variants and the
+// greedy-vs-optimal table keep their bytes across refactors.
+func TestAblateGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "ablate.golden"))
+	if err != nil {
+		t.Fatalf("reading golden: %v", err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"ablate"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("ablate failed (%d): %s", code, stderr.String())
+	}
+	if got := stdout.String(); got != string(want) {
+		t.Errorf("ablate output drifted from testdata/ablate.golden:\n--- golden ---\n%s--- got ---\n%s", want, got)
 	}
 }

@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"locsched/internal/cache"
-	"locsched/internal/layout"
-	"locsched/internal/mpsoc"
 	"locsched/internal/sched"
-	"locsched/internal/sharing"
 	"locsched/internal/workload"
 )
 
@@ -17,54 +14,28 @@ import (
 
 // AblationStaticMode runs the LS schedule for the first mixSize
 // applications under each runtime interpretation of the static
-// assignment: strict in-order, skip-blocked, and steal-when-idle.
+// assignment: strict in-order, skip-blocked, and steal-when-idle. Each
+// point is an ordinary LS cell of the mix (the machine's placement bias
+// included), so the steal-when-idle point equals RunMix's LS cell.
 func AblationStaticMode(cfg Config, mixSize int) (*Sweep, error) {
-	if err := cfg.Validate(); err != nil {
+	s := &Sweep{Title: fmt.Sprintf("static dispatch mode ablation (|T|=%d, LS)", mixSize)}
+	apps, err := workload.BuildAll(cfg.Workload)
+	if err != nil {
 		return nil, err
 	}
-	s := &Sweep{Title: fmt.Sprintf("static dispatch mode ablation (|T|=%d, LS)", mixSize)}
+	mixSize = min(mixSize, len(apps))
+	epg, arrays, err := cachedCombine(apps[:mixSize])
+	if err != nil {
+		return nil, err
+	}
 	for _, mode := range []sched.StaticMode{sched.StrictOrder, sched.SkipBlocked, sched.StealWhenIdle} {
-		apps, err := workload.BuildAll(cfg.Workload)
-		if err != nil {
-			return nil, err
-		}
-		if mixSize > len(apps) {
-			mixSize = len(apps)
-		}
-		epg, arrays, err := workload.Combine(apps[:mixSize]...)
-		if err != nil {
-			return nil, err
-		}
-		base, err := layout.Pack(cfg.Align, arrays...)
-		if err != nil {
-			return nil, err
-		}
-		m, err := sharing.ComputeMatrix(epg)
-		if err != nil {
-			return nil, err
-		}
-		asg, err := sched.LocalitySchedule(epg, m, cfg.Machine.Cores)
-		if err != nil {
-			return nil, err
-		}
-		disp := sched.NewStaticMode("LS", asg, mode)
-		res, err := mpsoc.Run(epg, disp, base, cfg.Machine)
+		r, err := runCell(fmt.Sprintf("|T|=%d", mixSize), epg, arrays, LS, cfg, mode)
 		if err != nil {
 			return nil, err
 		}
 		s.Points = append(s.Points, SweepPoint{
-			Label: mode.String(),
-			Results: map[Policy]*RunResult{
-				LS: {
-					Workload:  fmt.Sprintf("|T|=%d", mixSize),
-					Policy:    LS,
-					Cycles:    res.Cycles,
-					Seconds:   res.Seconds,
-					Hits:      res.Total.Hits,
-					Misses:    res.Total.Misses(),
-					Conflicts: res.Total.Conflict,
-				},
-			},
+			Label:   mode.String(),
+			Results: map[Policy]*RunResult{LS: r},
 		})
 	}
 	return s, nil
@@ -129,11 +100,13 @@ func GreedyQuality(cfg Config, cores int) ([]GreedyQualityRow, error) {
 		if app.Procs() > sched.MaxOptimalProcs {
 			continue
 		}
-		m, err := sharing.ComputeMatrix(app.Graph)
+		// The unbiased greedy: OptimalSchedule maximizes the same
+		// machine-independent objective.
+		greedyAsg, err := cachedLS(app.Graph, cores, cfg.Workers, "", nil)
 		if err != nil {
 			return nil, err
 		}
-		greedyAsg, err := sched.LocalitySchedule(app.Graph, m, cores)
+		m, err := cachedMatrix(app.Graph, app.Graph.Fingerprint(), cfg.Workers)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"locsched/internal/cache"
+	"locsched/internal/mpsoc"
+	"locsched/internal/sched"
 	"locsched/internal/workload"
 )
 
@@ -23,6 +25,40 @@ func TestAblationStaticMode(t *testing.T) {
 	// Work conservation must never be slower than strict in-order waiting.
 	if steal > strict {
 		t.Errorf("steal mode (%d cycles) should beat strict mode (%d cycles)", steal, strict)
+	}
+}
+
+// TestAblationStaticModeStealMatchesLSCell: the steal-when-idle point
+// of the static-mode ablation is the LS cell of the same mix, on the
+// paper's machine and on a heterogeneous mesh whose placement bias
+// reorders the LS cores.
+func TestAblationStaticModeStealMatchesLSCell(t *testing.T) {
+	het := DefaultConfig()
+	het.Machine.Machine = mpsoc.Machine{SpeedClasses: "1,4", Topology: mpsoc.TopoMesh, HopPenalty: 16}
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "hetero": het} {
+		t.Run(name, func(t *testing.T) {
+			s, err := AblationStaticMode(cfg, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steal := s.Points[2]
+			if steal.Label != sched.StealWhenIdle.String() {
+				t.Fatalf("point 2 is %q, want %q", steal.Label, sched.StealWhenIdle)
+			}
+			apps, err := workload.BuildAll(cfg.Workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RunMix(apps[:4], LS, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := steal.Results[LS]
+			if got.Cycles != want.Cycles || got.Hits != want.Hits || got.Misses != want.Misses || got.Conflicts != want.Conflicts {
+				t.Errorf("steal point %d cycles, %d hits, %d misses, %d conflicts; LS cell %d, %d, %d, %d",
+					got.Cycles, got.Hits, got.Misses, got.Conflicts, want.Cycles, want.Hits, want.Misses, want.Conflicts)
+			}
+		})
 	}
 }
 

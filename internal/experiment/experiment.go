@@ -179,6 +179,14 @@ func (r *RunResult) MissRate() float64 {
 // cells — policies, sweep points, benchmark iterations, reloads — pay
 // construction once.
 func RunGraph(name string, g *taskgraph.Graph, arrays []*prog.Array, policy Policy, cfg Config) (*RunResult, error) {
+	return runCell(name, g, arrays, policy, cfg, sched.StealWhenIdle)
+}
+
+// runCell is RunGraph with an explicit runtime interpretation of the LS
+// and LSM static assignments (mode is ignored by the other policies).
+// The static-mode ablation is its only caller with a mode other than
+// sched.StealWhenIdle.
+func runCell(name string, g *taskgraph.Graph, arrays []*prog.Array, policy Policy, cfg Config, mode sched.StaticMode) (*RunResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -236,13 +244,13 @@ func RunGraph(name string, g *taskgraph.Graph, arrays []*prog.Array, policy Poli
 		if err != nil {
 			return nil, err
 		}
-		disp = sched.NewStatic("LS", asg)
+		disp = sched.NewStaticMode("LS", asg, mode)
 	case LSM:
 		mapping, err := cachedLSM(g, cfg.Machine.Cores, base, cfg.Machine.Cache, cfg.Workers, biasKey, bias)
 		if err != nil {
 			return nil, err
 		}
-		disp = sched.NewStatic("LSM", mapping.Assignment)
+		disp = sched.NewStaticMode("LSM", mapping.Assignment, mode)
 		am = mapping.Layout
 		relaid = len(mapping.Banks)
 	default:

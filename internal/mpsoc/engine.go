@@ -167,7 +167,7 @@ type Runner struct {
 	blockScratch []int64
 	writeScratch []bool
 	// segment is runSegmentRLE; the differential tests swap in the
-	// flat-stream oracle here.
+	// access-by-access oracle here.
 	segment segmentFunc
 }
 

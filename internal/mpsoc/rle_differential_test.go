@@ -24,9 +24,9 @@ func rleDiffMaps(t *testing.T, app *workload.App, geom cache.Geometry) map[strin
 	if err != nil {
 		t.Fatalf("%s: Pack: %v", app.Name, err)
 	}
-	m, err := sharing.ComputeMatrix(app.Graph)
+	m, err := sharing.ComputeMatrixParallel(app.Graph, 1)
 	if err != nil {
-		t.Fatalf("%s: ComputeMatrix: %v", app.Name, err)
+		t.Fatalf("%s: ComputeMatrixParallel: %v", app.Name, err)
 	}
 	_, mapping, err := sched.NewLSM(app.Graph, m, nil, 8, base, geom, nil)
 	if err != nil {
@@ -101,7 +101,7 @@ func rleDiffConfigs() map[string]Config {
 // blocked, and strict order.
 func rleDiffDispatchers(t *testing.T, g *taskgraph.Graph, cores int) map[string]func() Dispatcher {
 	t.Helper()
-	m, err := sharing.ComputeMatrix(g)
+	m, err := sharing.ComputeMatrixParallel(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +143,10 @@ func rleDiffDispatchers(t *testing.T, g *taskgraph.Graph, cores int) map[string]
 // TestRLEEngineMatchesFlat: for every Table 1 application under both
 // address maps, every machine variant, and both run-to-completion and
 // preemptive dispatchers, the strided-RLE block-coalesced segment
-// simulation produces results bit-identical to the flat-stream oracle:
-// makespan, per-core busy cycles and cache stats (hits, cold/capacity/
-// conflict misses, writebacks), completion times, preemption and idle
-// counts.
+// simulation produces results bit-identical to the flat
+// (access-by-access) oracle: makespan, per-core busy cycles and cache
+// stats (hits, cold/capacity/conflict misses, writebacks), completion
+// times, preemption and idle counts.
 func TestRLEEngineMatchesFlat(t *testing.T) {
 	apps, err := workload.BuildAll(workload.Params{Scale: 1})
 	if err != nil {
@@ -168,7 +168,7 @@ func TestRLEEngineMatchesFlat(t *testing.T) {
 // TestRLEEngineSingleRef: processes with exactly one reference take the
 // engine's AccessRun fast path (same-block runs resolved in one call
 // with no residency probe); a chain of single-ref strided readers and
-// writers must stay bit-identical to the flat engine, with and without
+// writers must stay bit-identical to the flat oracle, with and without
 // preemption and under write-back.
 func TestRLEEngineSingleRef(t *testing.T) {
 	arr := prog.MustArray("sr.A", 4, 1<<16)
@@ -267,19 +267,26 @@ func TestRLEEngineMatchesFlatXLMix(t *testing.T) {
 	}
 }
 
-// assertFlatMatchesRLE runs one cell under runSegmentRLE and under the
-// flat oracle and fails unless the Results are deeply equal.
+// assertFlatMatchesRLE runs one cell under the flat oracle and under
+// runSegmentRLE, on the inline and on the pooled executor, and fails
+// unless the Results are deeply equal.
 func assertFlatMatchesRLE(t *testing.T, g *taskgraph.Graph, mkDisp func() Dispatcher, am layout.AddressMap, cfg Config) {
 	t.Helper()
 	flat, err := runFlat(g, mkDisp(), am, cfg)
 	if err != nil {
 		t.Fatalf("flat oracle: %v", err)
 	}
-	rle, err := Run(g, mkDisp(), am, cfg)
+	r, err := NewRunner(g, am, cfg)
 	if err != nil {
 		t.Fatalf("RLE engine: %v", err)
 	}
-	if !reflect.DeepEqual(flat, rle) {
-		t.Errorf("results diverge:\nflat: %+v\nrle:  %+v", flat, rle)
+	for _, workers := range []int{0, 2} {
+		rle, err := r.RunParallel(mkDisp(), workers)
+		if err != nil {
+			t.Fatalf("RLE engine, %d workers: %v", workers, err)
+		}
+		if !reflect.DeepEqual(flat, rle) {
+			t.Errorf("%d workers: results diverge:\nflat: %+v\nrle:  %+v", workers, flat, rle)
+		}
 	}
 }

@@ -7,10 +7,10 @@ import (
 
 // runSegmentRLE executes the cursor on the cache until completion or
 // quantum expiry, advancing run-by-run over the strided RLE encoding
-// instead of access-by-access over a flat stream. It is bit-identical to
-// the access-by-access flat-stream simulation the differential tests in
-// this package keep as its oracle: same cycles, same preemption point,
-// same cache state and stats.
+// instead of access by access. It is bit-identical to the
+// access-by-access simulation the differential tests in this package
+// keep as its oracle (runSegment, flat_oracle_test.go): same cycles,
+// same preemption point, same cache state and stats.
 //
 // The coalescing observation: within an RLE segment every reference
 // advances by a constant per-iteration delta, so the blocks an iteration

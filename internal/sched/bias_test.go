@@ -29,7 +29,7 @@ func TestLocalityScheduleBiasedNilIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sharing.ComputeMatrix(app.Graph)
+	m, err := sharing.ComputeMatrixParallel(app.Graph, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestLocalityScheduleBiasedPermutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sharing.ComputeMatrix(app.Graph)
+	m, err := sharing.ComputeMatrixParallel(app.Graph, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

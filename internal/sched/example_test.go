@@ -27,7 +27,7 @@ func ExampleLocalitySchedule() {
 		g.AddProcess(&taskgraph.Process{ID: c, Spec: cons})
 		g.AddDep(p, c)
 	}
-	m, _ := sharing.ComputeMatrix(g)
+	m, _ := sharing.ComputeMatrixParallel(g, 1)
 	asg, _ := sched.LocalitySchedule(g, m, 2)
 	fmt.Println(asg)
 	// Output:

@@ -66,7 +66,7 @@ func TestLocalityScheduleMatchesRescan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := sharing.ComputeMatrix(app.Graph)
+		m, err := sharing.ComputeMatrixParallel(app.Graph, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestLocalityScheduleMatchesRescan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixM, err := sharing.ComputeMatrix(mix)
+	mixM, err := sharing.ComputeMatrixParallel(mix, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestLocalityScheduleMatchesRescan(t *testing.T) {
 	for _, c := range cases {
 		for _, cores := range []int{1, 2, 3, 4, 8, 16, 64, 2 * c.g.Len()} {
 			t.Run(fmt.Sprintf("%s/cores=%d", c.label, cores), func(t *testing.T) {
-				want, err := LocalityScheduleRescan(c.g, c.m, cores)
+				want, err := localityScheduleRescan(c.g, c.m, cores)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -114,7 +114,7 @@ func TestLocalitySchedule512Cores(t *testing.T) {
 	}
 	g, m := xlMixGraph(t, 128)
 	const cores = 512
-	want, err := LocalityScheduleRescan(g, m, cores)
+	want, err := localityScheduleRescan(g, m, cores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +151,12 @@ func TestLocalityScheduleForeignMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sharing.ComputeMatrix(other.Graph)
+	m, err := sharing.ComputeMatrixParallel(other.Graph, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cores := range []int{1, 2, 4} {
-		want, err := LocalityScheduleRescan(app.Graph, m, cores)
+		want, err := localityScheduleRescan(app.Graph, m, cores)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,10 +66,11 @@ func coreOrder(cores int, bias CoreBias) []int {
 // re-filtering the whole pool), the first-quantum deferral maintains the
 // per-candidate sharing row sums across removals instead of recomputing
 // the O(|IN|²) totals per round, and sharing lookups go through matrix
-// positions instead of map probes. It is bit-identical to the retained
-// reference implementation, LocalityScheduleRescan, for every input —
-// the differential tests pin both across the Table 1 apps and generated
-// XL mixes.
+// positions instead of map probes. It is bit-identical to the rescan
+// reference implementation kept in this package's tests
+// (localityScheduleRescan, rescan_test.go) for every input — the
+// differential tests pin both across the Table 1 apps and generated XL
+// mixes.
 func LocalitySchedule(g *taskgraph.Graph, m *sharing.Matrix, cores int) (*Assignment, error) {
 	return LocalityScheduleBiased(g, m, cores, nil)
 }

@@ -72,7 +72,7 @@ func TestOptimalTooLargeRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := sharing.ComputeMatrix(g)
+	m, err := sharing.ComputeMatrixParallel(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestOptimalDominatesGreedyRandomized(t *testing.T) {
 				}
 			}
 		}
-		m, err := sharing.ComputeMatrix(g)
+		m, err := sharing.ComputeMatrixParallel(g, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,20 +4,20 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"testing"
 
 	"locsched/internal/sharing"
 	"locsched/internal/taskgraph"
 )
 
-// LocalityScheduleRescan is the reference implementation of the Figure 3
+// localityScheduleRescan is the reference implementation of the Figure 3
 // greedy: it re-derives the candidate set from scratch for every
 // placement (a full pool scan with per-candidate predecessor checks) and
 // recomputes the pairwise sharing totals of the first-quantum deferral
 // loop each round. It is O(P² log P) in the process count and is kept
 // verbatim as the differential oracle for the incremental
-// LocalitySchedule, which must be bit-identical to it (the goldens in
-// testdata/ pin both).
-func LocalityScheduleRescan(g *taskgraph.Graph, m *sharing.Matrix, cores int) (*Assignment, error) {
+// LocalitySchedule, which must be bit-identical to it.
+func localityScheduleRescan(g *taskgraph.Graph, m *sharing.Matrix, cores int) (*Assignment, error) {
 	if cores <= 0 {
 		return nil, fmt.Errorf("sched: cores %d must be positive", cores)
 	}
@@ -202,4 +202,24 @@ func sortedIDs(pool map[taskgraph.ProcID]bool, scratch *[]taskgraph.ProcID) []ta
 	})
 	*scratch = out
 	return out
+}
+
+// BenchmarkLocalityScheduleXL measures the rescan oracle on the XL
+// ladder's generated mixes (tasks = cores/4), the inputs the root
+// package's BenchmarkLocalityScheduleXL gives the incremental greedy, so
+// the two can be compared.
+func BenchmarkLocalityScheduleXL(b *testing.B) {
+	for _, cores := range []int{128, 512, 1024} {
+		b.Run(fmt.Sprintf("%dc", cores), func(b *testing.B) {
+			g, m := xlMixGraph(b, cores/4)
+			b.Run("rescan", func(b *testing.B) {
+				b.ReportMetric(float64(g.Len()), "procs")
+				for i := 0; i < b.N; i++ {
+					if _, err := localityScheduleRescan(g, m, cores); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
 }

@@ -28,7 +28,7 @@ func figure1Graph(t *testing.T) (*taskgraph.Graph, *sharing.Matrix) {
 			t.Fatal(err)
 		}
 	}
-	m, err := sharing.ComputeMatrix(g)
+	m, err := sharing.ComputeMatrixParallel(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestLocalityScheduleRespectsDependences(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := sharing.ComputeMatrix(g)
+	m, err := sharing.ComputeMatrixParallel(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestLSRunsOnRandomDAGs(t *testing.T) {
 				}
 			}
 		}
-		m, err := sharing.ComputeMatrix(g)
+		m, err := sharing.ComputeMatrixParallel(g, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +385,7 @@ func TestLSMEliminatesConflicts(t *testing.T) {
 
 	// Page-aligned packing makes X and Y alias set-for-set.
 	base := layout.MustPack(geom.PageSize(), x, y, z)
-	m, err := sharing.ComputeMatrix(g)
+	m, err := sharing.ComputeMatrixParallel(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,51 @@ import (
 	"locsched/internal/eset"
 	"locsched/internal/prog"
 	"locsched/internal/prog/progtest"
+	"locsched/internal/taskgraph"
 )
+
+// pairwiseMatrix is the oracle for MatrixParallel: it intersects the
+// full data spaces of every process pair, array by array, with no
+// footprint summaries, interval rejection or tiling.
+func pairwiseMatrix(a *Analyzer, g *taskgraph.Graph) (*Matrix, error) {
+	ids := g.ProcIDs()
+	m := &Matrix{
+		ids:  ids,
+		pos:  make(map[taskgraph.ProcID]int, len(ids)),
+		vals: make([][]int64, len(ids)),
+	}
+	spaces := make([]DataSpace, len(ids))
+	for i, id := range ids {
+		m.pos[id] = i
+		ds, err := a.DataSpace(g.Process(id).Spec)
+		if err != nil {
+			return nil, err
+		}
+		spaces[i] = ds
+		m.vals[i] = make([]int64, len(ids))
+	}
+	for i := range ids {
+		m.vals[i][i] = spaces[i].FootprintBytes()
+		for j := i + 1; j < len(ids); j++ {
+			s := sharedBytesPairwise(spaces[i], spaces[j])
+			m.vals[i][j] = s
+			m.vals[j][i] = s
+		}
+	}
+	return m, nil
+}
+
+// sharedBytesPairwise returns the bytes two data spaces share: the sum
+// over common arrays of |DS_a ∩ DS'_a| × element size.
+func sharedBytesPairwise(d, o DataSpace) int64 {
+	var n int64
+	for arr, s := range d {
+		if os, ok := o[arr]; ok {
+			n += s.IntersectCard(os) * arr.Elem
+		}
+	}
+	return n
+}
 
 // pointDataSpace is the enumeration oracle for ComputeDataSpace: it
 // visits every iteration point once per reference, applies the access
@@ -107,4 +151,25 @@ func FuzzFootprintPieces(f *testing.F) {
 		spec, _ := progtest.Spec(data)
 		checkPieces(t, spec)
 	})
+}
+
+// BenchmarkComputeMatrixXL measures the pairwise oracle on the XL
+// ladder's generated mixes (tasks = cores/4), the inputs the root
+// package's BenchmarkComputeMatrixXL gives the blocked construction, so
+// the two can be compared. Each iteration builds a fresh Analyzer, so
+// the numbers cover data spaces plus the pair sweep.
+func BenchmarkComputeMatrixXL(b *testing.B) {
+	for _, cores := range []int{128, 512, 1024} {
+		b.Run(fmt.Sprintf("%dc", cores), func(b *testing.B) {
+			g := xlGraph(b, cores/4)
+			b.Run("seq", func(b *testing.B) {
+				b.ReportMetric(float64(g.Len()), "procs")
+				for i := 0; i < b.N; i++ {
+					if _, err := pairwiseMatrix(NewAnalyzer(), g); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
 }

@@ -10,10 +10,10 @@ import (
 	"locsched/internal/taskgraph"
 )
 
-// The blocked, parallel sharing-matrix construction. The sequential
-// Matrix path is O(P²) pairwise run-merges over the full data spaces; at
-// the 512–1024-core scenario scale (P in the thousands) that is the
-// analysis wall the ROADMAP names. This path makes three changes, all
+// The blocked, parallel sharing-matrix construction, the package's only
+// one. The plain pairwise construction is O(P²) run-merges over the full
+// data spaces; at the 512–1024-core scenario scale (P in the thousands)
+// that is an analysis wall. This path makes three changes to it, all
 // value-preserving:
 //
 //   - data spaces are computed concurrently (one task per process) on a
@@ -31,9 +31,10 @@ import (
 //     disjoint matrix cells and need no synchronization.
 //
 // Every cell is an exact int64 sum over the same intersections the
-// sequential path computes, so the result is bit-identical for any
+// pairwise construction computes, so the result is bit-identical for any
 // worker count — the differential tests pin ComputeMatrixParallel
-// against Matrix for the Table 1 apps and generated XL mixes.
+// against that pairwise oracle (pairwiseMatrix, oracle_test.go) for the
+// Table 1 apps and generated XL mixes.
 
 // matrixTile is the tile edge of the blocked pair sweep. 128 keeps a
 // tile's summaries resident while being fine-grained enough to balance
@@ -61,7 +62,7 @@ type footEnt struct {
 
 // sharedBytes merge-joins two summaries: sum over common arrays of
 // |set ∩ set'| × element size, skipping pairs whose bounding intervals
-// are disjoint. Identical to DataSpace.SharedBytes by construction.
+// are disjoint.
 func sharedBytes(a, b *footprint) int64 {
 	if len(a.ents) == 0 || len(b.ents) == 0 || a.hiAi < b.loAi || b.hiAi < a.loAi {
 		return 0
@@ -88,14 +89,15 @@ func sharedBytes(a, b *footprint) int64 {
 
 // ComputeMatrixParallel builds the sharing matrix with the blocked,
 // parallel construction. workers ≤ 0 uses GOMAXPROCS; workers == 1 runs
-// the blocked path inline. The result is bit-identical to ComputeMatrix
-// for every worker count.
+// the blocked path inline. The result is the same for every worker
+// count.
 func ComputeMatrixParallel(g *taskgraph.Graph, workers int) (*Matrix, error) {
 	return NewAnalyzer().MatrixParallel(g, workers)
 }
 
-// MatrixParallel is the blocked, parallel counterpart of Matrix, reusing
-// the analyzer's memoized data spaces.
+// MatrixParallel builds the sharing matrix of every process in the graph
+// with the blocked, parallel construction, reusing the analyzer's
+// memoized data spaces.
 func (a *Analyzer) MatrixParallel(g *taskgraph.Graph, workers int) (*Matrix, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -24,7 +24,7 @@ func matricesEqual(t *testing.T, want, got *Matrix) {
 	for _, a := range wids {
 		for _, b := range wids {
 			if w, g := want.Shared(a, b), got.Shared(a, b); w != g {
-				t.Fatalf("Shared(%v,%v): sequential %d, parallel %d", a, b, w, g)
+				t.Fatalf("Shared(%v,%v): want %d, got %d", a, b, w, g)
 			}
 		}
 	}
@@ -46,7 +46,7 @@ func xlGraph(t testing.TB, tasks int) *taskgraph.Graph {
 }
 
 // TestMatrixParallelMatchesSequential: the blocked, parallel construction
-// is bit-identical to the sequential pairwise path for every Table 1
+// is bit-identical to the pairwise oracle for every Table 1
 // application and for generated XL mixes, at several worker counts.
 func TestMatrixParallelMatchesSequential(t *testing.T) {
 	var graphs []*taskgraph.Graph
@@ -71,7 +71,7 @@ func TestMatrixParallelMatchesSequential(t *testing.T) {
 	labels = append(labels, "mix6", "xl8")
 
 	for gi, g := range graphs {
-		seq, err := ComputeMatrix(g)
+		seq, err := pairwiseMatrix(NewAnalyzer(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestMatrixParallelMatchesSequential(t *testing.T) {
 // TestMatrixParallelDeterminism512: at the 512-core scenario scale (a
 // 128-task generated mix), the blocked construction is deterministic
 // across worker counts — Workers=1 and Workers=4 produce bit-identical
-// matrices (and the sequential oracle agrees).
+// matrices (and the pairwise oracle agrees).
 func TestMatrixParallelDeterminism512(t *testing.T) {
 	if testing.Short() {
 		t.Skip("512-core scenario mix in -short mode")
@@ -105,7 +105,7 @@ func TestMatrixParallelDeterminism512(t *testing.T) {
 		t.Fatal(err)
 	}
 	matricesEqual(t, w1, w4)
-	seq, err := ComputeMatrix(g)
+	seq, err := pairwiseMatrix(NewAnalyzer(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestMatrixParallelDeterminism512(t *testing.T) {
 }
 
 // TestMatrixParallelSharedAnalyzer: MatrixParallel reuses (and fills) the
-// analyzer's data-space memo, so a subsequent sequential Matrix on the
-// same analyzer recomputes nothing and still agrees.
+// analyzer's data-space memo, so the pairwise oracle on the same
+// analyzer recomputes nothing and still agrees.
 func TestMatrixParallelSharedAnalyzer(t *testing.T) {
 	app, err := workload.Build("Usonic", 0, workload.Params{Scale: 2})
 	if err != nil {
@@ -125,7 +125,7 @@ func TestMatrixParallelSharedAnalyzer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := an.Matrix(app.Graph)
+	seq, err := pairwiseMatrix(an, app.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestMatrixParallelSharedAnalyzer(t *testing.T) {
 // pair, and Index rejects unknown processes.
 func TestMatrixIndexAccessors(t *testing.T) {
 	g := figure1Task(t)
-	m, err := ComputeMatrix(g)
+	m, err := ComputeMatrixParallel(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

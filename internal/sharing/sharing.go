@@ -32,18 +32,6 @@ func (d DataSpace) FootprintBytes() int64 {
 	return n
 }
 
-// SharedBytes returns the number of bytes this data space shares with o:
-// sum over common arrays of |DS_a ∩ DS'_a| × element size.
-func (d DataSpace) SharedBytes(o DataSpace) int64 {
-	var n int64
-	for arr, s := range d {
-		if os, ok := o[arr]; ok {
-			n += s.IntersectCard(os) * arr.Elem
-		}
-	}
-	return n
-}
-
 // ComputeDataSpace collects the element indices each reference of the
 // process touches, per array. It walks the iteration space one innermost
 // row at a time and splits each row into the reference's affine pieces
@@ -233,41 +221,6 @@ type Matrix struct {
 	ids  []taskgraph.ProcID
 	pos  map[taskgraph.ProcID]int
 	vals [][]int64
-}
-
-// ComputeMatrix builds the sharing matrix for every process in the graph.
-func ComputeMatrix(g *taskgraph.Graph) (*Matrix, error) {
-	return NewAnalyzer().Matrix(g)
-}
-
-// Matrix builds the sharing matrix for every process in the graph, using
-// the analyzer's memoized data spaces.
-func (a *Analyzer) Matrix(g *taskgraph.Graph) (*Matrix, error) {
-	ids := g.ProcIDs()
-	m := &Matrix{
-		ids:  ids,
-		pos:  make(map[taskgraph.ProcID]int, len(ids)),
-		vals: make([][]int64, len(ids)),
-	}
-	spaces := make([]DataSpace, len(ids))
-	for i, id := range ids {
-		m.pos[id] = i
-		ds, err := a.DataSpace(g.Process(id).Spec)
-		if err != nil {
-			return nil, err
-		}
-		spaces[i] = ds
-		m.vals[i] = make([]int64, len(ids))
-	}
-	for i := range ids {
-		m.vals[i][i] = spaces[i].FootprintBytes()
-		for j := i + 1; j < len(ids); j++ {
-			s := spaces[i].SharedBytes(spaces[j])
-			m.vals[i][j] = s
-			m.vals[j][i] = s
-		}
-	}
-	return m, nil
 }
 
 // Len returns the number of processes.

@@ -41,9 +41,9 @@ func figure1Task(t *testing.T) *taskgraph.Graph {
 // only for k = p, which is on the diagonal).
 func TestFigure2Matrix(t *testing.T) {
 	g := figure1Task(t)
-	m, err := ComputeMatrix(g)
+	m, err := ComputeMatrixParallel(g, 1)
 	if err != nil {
-		t.Fatalf("ComputeMatrix: %v", err)
+		t.Fatalf("ComputeMatrixParallel: %v", err)
 	}
 	if m.Len() != 8 {
 		t.Fatalf("Len = %d, want 8", m.Len())
@@ -75,7 +75,7 @@ func TestFigure2Matrix(t *testing.T) {
 
 func TestMatrixSymmetric(t *testing.T) {
 	g := figure1Task(t)
-	m, err := ComputeMatrix(g)
+	m, err := ComputeMatrixParallel(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestMatrixSymmetric(t *testing.T) {
 
 func TestSharedUnknownProcess(t *testing.T) {
 	g := figure1Task(t)
-	m, err := ComputeMatrix(g)
+	m, err := ComputeMatrixParallel(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSharedUnknownProcess(t *testing.T) {
 
 func TestTotalSharing(t *testing.T) {
 	g := figure1Task(t)
-	m, err := ComputeMatrix(g)
+	m, err := ComputeMatrixParallel(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestTotalSharing(t *testing.T) {
 
 func TestMaxSharingPartner(t *testing.T) {
 	g := figure1Task(t)
-	m, err := ComputeMatrix(g)
+	m, err := ComputeMatrixParallel(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestElementSizeWeighting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := ComputeMatrix(g)
+	m, err := ComputeMatrixParallel(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestNoSharingAcrossDifferentArrays(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ComputeMatrix(g)
+	m, err := ComputeMatrixParallel(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestSharingSet(t *testing.T) {
 
 func TestMatrixString(t *testing.T) {
 	g := figure1Task(t)
-	m, err := ComputeMatrix(g)
+	m, err := ComputeMatrixParallel(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

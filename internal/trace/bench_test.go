@@ -17,79 +17,24 @@ func benchSpec() (*prog.ProcessSpec, layout.AddressMap) {
 	return spec, layout.MustPack(32, arr)
 }
 
-// TestCursorNextZeroAlloc asserts the acceptance criterion directly:
-// steady-state Cursor.Next allocates nothing.
-func TestCursorNextZeroAlloc(t *testing.T) {
-	spec, am := benchSpec()
-	cur, err := NewGenerator(am).NewCursor(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10000, func() {
-		if _, ok := cur.Next(); !ok {
-			cur.Reset()
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("Cursor.Next allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// BenchmarkTraceCompile measures compiling one (spec, address map) pair
-// into a flat stream, bypassing the generator and package caches.
-func BenchmarkTraceCompile(b *testing.B) {
-	spec, am := benchSpec()
-	var s *Stream
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		s, err = compile(spec, am)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(s.Len()), "accesses")
-}
-
-// BenchmarkTraceCompileCached measures the cross-run path: the stream is
-// already in the package cache, so a fresh generator only pays the
-// signature lookup.
-func BenchmarkTraceCompileCached(b *testing.B) {
-	spec, am := benchSpec()
-	if _, err := NewGenerator(am).Stream(spec); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewGenerator(am).Stream(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTraceCompileRLE measures compiling one (spec, address map)
 // pair into the strided run-length encoding, bypassing the caches, and
-// reports the resident bytes of both stream forms (the stream-memory
-// reduction the encoding buys).
+// reports its resident bytes next to those of the same trace
+// materialized access by access (the stream-memory reduction the
+// encoding buys).
 func BenchmarkTraceCompileRLE(b *testing.B) {
 	spec, am := benchSpec()
-	flat, err := compile(spec, am)
-	if err != nil {
-		b.Fatal(err)
-	}
 	var s *RLEStream
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		var err error
 		s, err = compileRLE(spec, am)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(s.Len()), "accesses")
-	b.ReportMetric(float64(flat.MemBytes()), "flat_bytes")
+	b.ReportMetric(float64(flatBytes(s)), "flat_bytes")
 	b.ReportMetric(float64(s.MemBytes()), "rle_bytes")
 }
 
@@ -116,22 +61,6 @@ func BenchmarkTraceCompileRLECached(b *testing.B) {
 func BenchmarkRLECursorNext(b *testing.B) {
 	spec, am := benchSpec()
 	cur, err := NewGenerator(am).NewRLECursor(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := cur.Next(); !ok {
-			cur.Reset()
-		}
-	}
-}
-
-// BenchmarkCursorNext measures per-access stream consumption.
-func BenchmarkCursorNext(b *testing.B) {
-	spec, am := benchSpec()
-	cur, err := NewGenerator(am).NewCursor(spec)
 	if err != nil {
 		b.Fatal(err)
 	}

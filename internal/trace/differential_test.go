@@ -28,9 +28,9 @@ func addressMapsUnderTest(t *testing.T, app *workload.App) map[string]layout.Add
 	if err != nil {
 		t.Fatalf("%s: Pack: %v", app.Name, err)
 	}
-	m, err := sharing.ComputeMatrix(app.Graph)
+	m, err := sharing.ComputeMatrixParallel(app.Graph, 1)
 	if err != nil {
-		t.Fatalf("%s: ComputeMatrix: %v", app.Name, err)
+		t.Fatalf("%s: ComputeMatrixParallel: %v", app.Name, err)
 	}
 	_, mapping, err := sched.NewLSM(app.Graph, m, nil, 8, base, geom, nil)
 	if err != nil {
@@ -51,9 +51,9 @@ func addressMapsUnderTest(t *testing.T, app *workload.App) map[string]layout.Add
 }
 
 // TestCompiledMatchesInterpreted: for every Table 1 application under
-// both address maps, the compiled stream is access-for-access identical
-// to the interpreting reference cursor — same addresses, same
-// read/write kinds, same iteration boundaries.
+// both address maps, the compiled (run-length-encoded) stream is
+// access-for-access identical to the interpreting reference cursor —
+// same addresses, same read/write kinds, same iteration boundaries.
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	apps, err := workload.BuildAll(workload.Params{Scale: 1})
 	if err != nil {
@@ -64,9 +64,9 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", app.Name, amName), func(t *testing.T) {
 				gen := NewGenerator(am)
 				for _, p := range app.Graph.Processes() {
-					cur, err := gen.NewCursor(p.Spec)
+					cur, err := gen.NewRLECursor(p.Spec)
 					if err != nil {
-						t.Fatalf("NewCursor(%s): %v", p.Spec.Name, err)
+						t.Fatalf("NewRLECursor(%s): %v", p.Spec.Name, err)
 					}
 					ref, err := gen.NewInterpCursor(p.Spec)
 					if err != nil {
@@ -94,9 +94,10 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 	}
 }
 
-// TestCompiledResumeAndReset: chunked consumption (preemption resume
-// points) and a mid-stream Reset on the compiled cursor reproduce the
-// interpreted stream exactly.
+// TestCompiledResumeAndReset: a process stopped at every preemption
+// point and resumed on a fresh cursor — the position carried across by
+// Pos and Seek, as when it migrates to another core — replays the
+// interpreted stream exactly, also after a mid-stream Reset.
 func TestCompiledResumeAndReset(t *testing.T) {
 	apps, err := workload.BuildAll(workload.Params{Scale: 1})
 	if err != nil {
@@ -124,13 +125,13 @@ func TestCompiledResumeAndReset(t *testing.T) {
 					want = append(want, acc)
 				}
 
-				cur, err := gen.NewCursor(spec)
+				cur, err := gen.NewRLECursor(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
 				// Mid-stream reset: consume a third, rewind, then replay in
-				// preemption-sized chunks, checking the resume bookkeeping
-				// at every boundary.
+				// preemption-sized chunks, moving to a fresh cursor at
+				// every boundary.
 				for i := 0; i < len(want)/3; i++ {
 					cur.Next()
 				}
@@ -148,6 +149,11 @@ func TestCompiledResumeAndReset(t *testing.T) {
 						}
 						got = append(got, acc)
 					}
+					seg, iter, ref := cur.Pos()
+					if cur, err = gen.NewRLECursor(spec); err != nil {
+						t.Fatal(err)
+					}
+					cur.Seek(seg, iter, ref)
 					if cur.Remaining() != int64(len(want)-len(got)) {
 						t.Fatalf("resume point %d: Remaining = %d, want %d", len(got), cur.Remaining(), len(want)-len(got))
 					}

@@ -14,6 +14,13 @@ import (
 	"locsched/internal/workload"
 )
 
+// addr resolves the reference's address at an iteration point; idxBuf is
+// caller-owned scratch, returned for reuse.
+func (fn *refFn) addr(pt, idxBuf []int64) (int64, []int64) {
+	idxBuf = fn.ref.Map.Apply(pt, idxBuf)
+	return fn.f.Addr(fn.ref.Array.LinearIndex(idxBuf)), idxBuf
+}
+
 // pointCompileRLE is the enumeration oracle for compileRLE, with its own
 // greedy cut: it visits every iteration point, resolves each reference's
 // address there, and extends the open segment while the per-iteration

@@ -11,9 +11,10 @@ import (
 
 // TestRLEMatchesCompiledAndInterpreted: for every Table 1 application
 // under both address maps, the run-length-encoded stream replays
-// access-for-access identically to both the flat compiled stream and the
-// interpreting reference — same addresses, same read/write kinds, same
-// iteration boundaries, same totals.
+// access-for-access identically to both the point-by-point compiled
+// encoding (pointCompileRLE) and the interpreting reference — same
+// addresses, same read/write kinds, same iteration boundaries, same
+// totals.
 func TestRLEMatchesCompiledAndInterpreted(t *testing.T) {
 	apps, err := workload.BuildAll(workload.Params{Scale: 1})
 	if err != nil {
@@ -28,32 +29,33 @@ func TestRLEMatchesCompiledAndInterpreted(t *testing.T) {
 					if err != nil {
 						t.Fatalf("NewRLECursor(%s): %v", p.Spec.Name, err)
 					}
-					flat, err := gen.NewCursor(p.Spec)
+					pts, err := pointCompileRLE(p.Spec, am)
 					if err != nil {
-						t.Fatalf("NewCursor(%s): %v", p.Spec.Name, err)
+						t.Fatalf("pointCompileRLE(%s): %v", p.Spec.Name, err)
 					}
+					pointCur := &RLECursor{spec: p.Spec, s: pts}
 					ref, err := gen.NewInterpCursor(p.Spec)
 					if err != nil {
 						t.Fatalf("NewInterpCursor(%s): %v", p.Spec.Name, err)
 					}
-					if rle.Total() != flat.Total() {
-						t.Fatalf("%s: RLE Total %d != flat %d", p.Spec.Name, rle.Total(), flat.Total())
+					if rle.Total() != pointCur.Total() {
+						t.Fatalf("%s: RLE Total %d != point-compiled %d", p.Spec.Name, rle.Total(), pointCur.Total())
 					}
 					if rle.Remaining() != ref.Remaining() {
 						t.Fatalf("%s: RLE Remaining %d != interpreted %d", p.Spec.Name, rle.Remaining(), ref.Remaining())
 					}
 					for i := int64(0); ; i++ {
 						got, gok := rle.Next()
-						wantF, fok := flat.Next()
+						wantP, pok := pointCur.Next()
 						wantI, iok := ref.Next()
-						if gok != fok || gok != iok {
-							t.Fatalf("%s: access %d: RLE ok=%v, flat ok=%v, interpreted ok=%v", p.Spec.Name, i, gok, fok, iok)
+						if gok != pok || gok != iok {
+							t.Fatalf("%s: access %d: RLE ok=%v, point-compiled ok=%v, interpreted ok=%v", p.Spec.Name, i, gok, pok, iok)
 						}
 						if !gok {
 							break
 						}
-						if got != wantF || got != wantI {
-							t.Fatalf("%s: access %d: RLE %+v, flat %+v, interpreted %+v", p.Spec.Name, i, got, wantF, wantI)
+						if got != wantP || got != wantI {
+							t.Fatalf("%s: access %d: RLE %+v, point-compiled %+v, interpreted %+v", p.Spec.Name, i, got, wantP, wantI)
 						}
 					}
 				}
@@ -64,8 +66,8 @@ func TestRLEMatchesCompiledAndInterpreted(t *testing.T) {
 
 // TestRLEResumeAndReset: chunked consumption (preemption resume points,
 // including mid-iteration stops at every chunk boundary) and a
-// mid-stream Reset reproduce the flat stream exactly, with correct
-// Remaining bookkeeping throughout.
+// mid-stream Reset reproduce the interpreted stream exactly, with
+// correct Remaining bookkeeping throughout.
 func TestRLEResumeAndReset(t *testing.T) {
 	apps, err := workload.BuildAll(workload.Params{Scale: 1})
 	if err != nil {
@@ -77,13 +79,13 @@ func TestRLEResumeAndReset(t *testing.T) {
 				gen := NewGenerator(am)
 				spec := app.Graph.Processes()[0].Spec
 
-				flat, err := gen.NewCursor(spec)
+				ref, err := gen.NewInterpCursor(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var want []Access
 				for {
-					acc, ok := flat.Next()
+					acc, ok := ref.Next()
 					if !ok {
 						break
 					}
@@ -134,11 +136,15 @@ func TestRLEResumeAndReset(t *testing.T) {
 	}
 }
 
-// TestRLEMemoryReduction asserts the PR's acceptance criterion: across
-// the Table 1 applications under both layouts, the run-length encoding
-// is at least 4× smaller than the flat compiled stream — per process and
-// in aggregate. (In practice the reduction is orders of magnitude: a
-// strided phase compresses to one segment.)
+// flatBytes is the resident size of s's trace materialized access by
+// access: 8 address bytes plus 1 flag byte per access.
+func flatBytes(s *RLEStream) int64 { return s.Len() * 9 }
+
+// TestRLEMemoryReduction: across the Table 1 applications under both
+// layouts, the run-length encoding is at least 4× smaller than the
+// materialized trace — per process and in aggregate. (In practice the
+// reduction is orders of magnitude: a strided phase compresses to one
+// segment.)
 func TestRLEMemoryReduction(t *testing.T) {
 	apps, err := workload.BuildAll(workload.Params{Scale: 2})
 	if err != nil {
@@ -149,15 +155,11 @@ func TestRLEMemoryReduction(t *testing.T) {
 		for amName, am := range addressMapsUnderTest(t, app) {
 			gen := NewGenerator(am)
 			for _, p := range app.Graph.Processes() {
-				flat, err := gen.Stream(p.Spec)
-				if err != nil {
-					t.Fatal(err)
-				}
 				rle, err := gen.RLE(p.Spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fb, rb := flat.MemBytes(), rle.MemBytes()
+				fb, rb := flatBytes(rle), rle.MemBytes()
 				flatTotal += fb
 				rleTotal += rb
 				if rb*4 > fb {
@@ -176,24 +178,15 @@ func TestRLEMemoryReduction(t *testing.T) {
 }
 
 // TestRLEZeroRefSpec: a hand-rolled spec with no references (rejected by
-// prog.NewProcessSpec but constructible directly) has an empty flat
-// stream; the RLE encoding must agree that the process is already done,
-// so both engines treat it identically.
+// prog.NewProcessSpec but constructible directly) makes no accesses, so
+// its encoding must report the process as already done.
 func TestRLEZeroRefSpec(t *testing.T) {
 	arr := prog.MustArray("zr.A", 4, 16)
 	am := layout.MustPack(32, arr)
 	spec := &prog.ProcessSpec{Name: "zr", IterSpace: prog.Seg("i", 0, 8)}
-	gen := NewGenerator(am)
-	flat, err := gen.NewCursor(spec)
+	rle, err := NewGenerator(am).NewRLECursor(spec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	rle, err := gen.NewRLECursor(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !flat.Done() {
-		t.Error("flat cursor of zero-ref spec not Done")
 	}
 	if !rle.Done() {
 		t.Error("RLE cursor of zero-ref spec not Done")

@@ -22,9 +22,9 @@ func testSetup(t *testing.T) (*Generator, *prog.ProcessSpec, *prog.Array) {
 
 func TestCursorStream(t *testing.T) {
 	g, spec, a := testSetup(t)
-	c, err := g.NewCursor(spec)
+	c, err := g.NewRLECursor(spec)
 	if err != nil {
-		t.Fatalf("NewCursor: %v", err)
+		t.Fatalf("NewRLECursor: %v", err)
 	}
 	if c.Total() != 20 {
 		t.Errorf("Total = %d, want 20", c.Total())
@@ -71,7 +71,7 @@ func TestCursorStream(t *testing.T) {
 
 func TestCursorResume(t *testing.T) {
 	g, spec, _ := testSetup(t)
-	full, err := g.NewCursor(spec)
+	full, err := g.NewRLECursor(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestCursorResume(t *testing.T) {
 	}
 
 	// Same stream read in chunks of 3 (simulating preemption).
-	c, err := g.NewCursor(spec)
+	c, err := g.NewRLECursor(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCursorResume(t *testing.T) {
 
 func TestCursorReset(t *testing.T) {
 	g, spec, _ := testSetup(t)
-	c, err := g.NewCursor(spec)
+	c, err := g.NewRLECursor(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestCursorReset(t *testing.T) {
 
 func TestGeneratorMemoizesStreams(t *testing.T) {
 	g, spec, _ := testSetup(t)
-	c1, err := g.NewCursor(spec)
+	c1, err := g.NewRLECursor(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := g.NewCursor(spec)
+	c2, err := g.NewRLECursor(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestGeneratorMemoizesStreams(t *testing.T) {
 	}
 	// Advancing one must not affect the other.
 	c1.Next()
-	if c2.pos != 0 {
+	if seg, iter, ref := c2.Pos(); seg != 0 || iter != 0 || ref != 0 {
 		t.Error("cursors must be independent")
 	}
 }
@@ -166,7 +166,7 @@ func TestCursorRespectsRelayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewGenerator(rl).NewCursor(spec)
+	c, err := NewGenerator(rl).NewRLECursor(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

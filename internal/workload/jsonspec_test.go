@@ -54,7 +54,7 @@ func TestFromJSONValid(t *testing.T) {
 		t.Errorf("default elem bytes = %d, want 4", p.Arrays[1].Elem)
 	}
 	// Sharing between producer and consumer via "out".
-	m, err := sharing.ComputeMatrix(p.Graph)
+	m, err := sharing.ComputeMatrixParallel(p.Graph, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

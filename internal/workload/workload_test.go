@@ -126,7 +126,7 @@ func TestScaleGrowsFootprint(t *testing.T) {
 func TestIntraTaskSharingExists(t *testing.T) {
 	for i, name := range Names() {
 		app := MustBuild(name, i, Params{Scale: 1})
-		m, err := sharing.ComputeMatrix(app.Graph)
+		m, err := sharing.ComputeMatrixParallel(app.Graph, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -157,7 +157,7 @@ func TestNoInterTaskSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sharing.ComputeMatrix(epg)
+	m, err := sharing.ComputeMatrixParallel(epg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestCombineClashingTaskIDsFails(t *testing.T) {
 // Med-Im04 share halo data — the banded structure of Figure 2(a).
 func TestBandedSharingWithinPhase(t *testing.T) {
 	app := MustBuild("Med-Im04", 0, Params{Scale: 1})
-	m, err := sharing.ComputeMatrix(app.Graph)
+	m, err := sharing.ComputeMatrixParallel(app.Graph, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
