@@ -95,6 +95,7 @@ import (
 	"time"
 
 	"locsched"
+	"locsched/internal/loadgen"
 	"locsched/internal/server"
 )
 
@@ -569,7 +570,6 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 	fleetMode := fs.Bool("fleet", false, "run the fleet differential bench: the stream against one in-process instance, then an in-process replica fleet, asserting byte-identical bodies and no worse hit rate")
 	replicas := fs.Int("replicas", 3, "fleet size for -fleet")
 	warmManifest := fs.String("warm-manifest", "", "cache manifest to replay as a warm set before the stream (with -serve)")
-	metricsURL := fs.String("metrics-url", "", "daemon /metricsz URL to scrape before and after the run, reporting server-side queue/coalesce/request latency quantiles (with -serve)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -584,7 +584,7 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 		srvCfg := server.DefaultConfig()
 		srvCfg.StoreDir = *storeDir
 		srvCfg.Scale = *scale
-		rep, err := server.RunFleetBench(srvCfg, server.LoadConfig{
+		rep, err := loadgen.RunFleetBench(srvCfg, loadgen.LoadConfig{
 			Concurrency: *conc,
 			Requests:    *requests,
 			Scale:       *scale,
@@ -610,7 +610,7 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 		srvCfg := server.DefaultConfig()
 		srvCfg.StoreDir = *storeDir
 		srvCfg.Scale = *scale
-		rep, err := server.RunRestartWarm(srvCfg, server.LoadConfig{
+		rep, err := loadgen.RunRestartWarm(srvCfg, loadgen.LoadConfig{
 			Concurrency: *conc,
 			Requests:    *requests,
 			Scale:       *scale,
@@ -629,17 +629,16 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if *serveURL == "" || fs.NArg() != 0 || *conc <= 0 || *requests <= 0 || *scale < 0 || *storeDir != "" {
-		fmt.Fprintln(stderr, "locsched bench: usage: locsched bench -serve URL [-conc N] [-requests N] [-scale N] [-timeout D] [-expect-cache] [-warm-manifest FILE] [-metrics-url URL]")
+		fmt.Fprintln(stderr, "locsched bench: usage: locsched bench -serve URL [-conc N] [-requests N] [-scale N] [-timeout D] [-expect-cache] [-warm-manifest FILE]")
 		return 2
 	}
-	rep, err := server.RunLoad(server.LoadConfig{
+	rep, err := loadgen.RunLoad(loadgen.LoadConfig{
 		BaseURL:      *serveURL,
 		Concurrency:  *conc,
 		Requests:     *requests,
 		Scale:        *scale,
 		Timeout:      *timeout,
 		WarmManifest: *warmManifest,
-		MetricsURL:   *metricsURL,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "locsched bench:", err)
@@ -650,9 +649,9 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "locsched bench: %d requests failed\n", rep.Errors)
 		return 1
 	}
-	if *expectCache && (rep.Stats.CacheHits == 0 || rep.Stats.Coalesced == 0) {
-		fmt.Fprintf(stderr, "locsched bench: expected nonzero cache hits and coalesces, got hits=%d coalesced=%d\n",
-			rep.Stats.CacheHits, rep.Stats.Coalesced)
+	hits, coalesced := rep.Server.Counter("locsched_cache_memory_hits_total"), rep.Server.Counter("locsched_server_coalesced_total")
+	if *expectCache && (hits == 0 || coalesced == 0) {
+		fmt.Fprintf(stderr, "locsched bench: expected nonzero cache hits and coalesces, got hits=%d coalesced=%d\n", hits, coalesced)
 		return 1
 	}
 	return 0

@@ -2,10 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"locsched/internal/server"
 )
 
 // TestFlagValidation is the usage-error table: every nonsensical flag
@@ -52,6 +57,7 @@ func TestFlagValidation(t *testing.T) {
 		{"bench negative conc", []string{"bench", "-serve", "http://x", "-conc", "-1"}, "usage"},
 		{"bench zero requests", []string{"bench", "-serve", "http://x", "-requests", "0"}, "usage"},
 		{"bench stray arg", []string{"bench", "-serve", "http://x", "extra"}, "usage"},
+		{"bench removed metrics-url flag", []string{"bench", "-serve", "http://x", "-metrics-url", "http://x/metricsz"}, "flag provided but not defined: -metrics-url"},
 		{"serve zero queue", []string{"serve", "-queue", "0"}, "queue depth"},
 		{"serve zero workers", []string{"serve", "-workers", "0"}, "workers"},
 		{"serve stray arg", []string{"serve", "extra"}, "unexpected arguments"},
@@ -149,5 +155,37 @@ func TestAblateGolden(t *testing.T) {
 	}
 	if got := stdout.String(); got != string(want) {
 		t.Errorf("ablate output drifted from testdata/ablate.golden:\n--- golden ---\n%s--- got ---\n%s", want, got)
+	}
+}
+
+// TestBenchServe: `locsched bench -serve` end to end against an
+// in-process daemon running the real planner — the stream replays
+// without errors, the -expect-cache assertion (nonzero cache hits and
+// coalesces, read from the daemon's /metricsz deltas) holds, and the
+// report carries the server-side latency lines.
+func TestBenchServe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real experiments")
+	}
+	srv, err := server.New(server.DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	var stdout, stderr bytes.Buffer
+	args := []string{"bench", "-serve", ts.URL, "-conc", "4", "-requests", "60", "-scale", "1", "-expect-cache"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run(%q) = %d; stderr: %s\nstdout: %s", args, code, stderr.String(), stdout.String())
+	}
+	if !strings.Contains(stdout.String(), "server request (this run)") {
+		t.Errorf("bench output missing the server request line:\n%s", stdout.String())
 	}
 }

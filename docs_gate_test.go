@@ -38,8 +38,8 @@ var godocGatedFiles = []string{
 	"internal/server/coalesce.go",
 	"internal/server/config.go",
 	"internal/server/stats.go",
-	"internal/server/loadgen.go",
-	"internal/server/loadgen_fleet.go",
+	"internal/loadgen/loadgen.go",
+	"internal/loadgen/fleet.go",
 	"internal/server/cli.go",
 	"internal/store/store.go",
 	"internal/store/fs.go",

@@ -44,7 +44,7 @@ func (s Sample) Label(key string) string {
 // enforcing the grammar WriteText promises: metric and label names match
 // their character classes, label values unescape cleanly, and no sample
 // value is NaN. Comment (#) and blank lines are skipped. It is both the
-// scrape half of `locsched bench -metrics-url` and the oracle the
+// scrape half of `locsched bench`'s /metricsz diff and the oracle the
 // FuzzMetricsExposition target holds the renderer to.
 func ParseExposition(data []byte) ([]Sample, error) {
 	var out []Sample

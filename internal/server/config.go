@@ -25,9 +25,10 @@
 //     a Retry-After hint instead of being buffered without bound.
 //
 // The daemon binary is cmd/locschedd; `locsched serve` starts the same
-// server, and `locsched bench` is the load generator that replays a
-// mixed scenario stream against it (with a -restart-warm mode proving
-// the store's warm-start contract end to end).
+// server, and `locsched bench` (package internal/loadgen) is the load
+// generator that replays a mixed scenario stream against it (with a
+// -restart-warm mode proving the store's warm-start contract end to
+// end).
 package server
 
 import (

@@ -120,12 +120,12 @@ func TestFleetPeerHitServesOwnerBytes(t *testing.T) {
 	body := bodyOwnedBy(t, "run", []string{a.base, b.base}, b.base)
 
 	respB, bytesB := postBody(t, b.base+"/v1/run", body)
-	if respB.StatusCode != 200 || respB.Header.Get(resultHeader) != "cold" {
-		t.Fatalf("owner compute: status %d, served %q", respB.StatusCode, respB.Header.Get(resultHeader))
+	if respB.StatusCode != 200 || respB.Header.Get(ResultHeader) != "cold" {
+		t.Fatalf("owner compute: status %d, served %q", respB.StatusCode, respB.Header.Get(ResultHeader))
 	}
 	respA, bytesA := postBody(t, a.base+"/v1/run", body)
-	if respA.StatusCode != 200 || respA.Header.Get(resultHeader) != "peer" {
-		t.Fatalf("non-owner: status %d, served %q, want 200/peer", respA.StatusCode, respA.Header.Get(resultHeader))
+	if respA.StatusCode != 200 || respA.Header.Get(ResultHeader) != "peer" {
+		t.Fatalf("non-owner: status %d, served %q, want 200/peer", respA.StatusCode, respA.Header.Get(ResultHeader))
 	}
 	if !bytes.Equal(bytesA, bytesB) {
 		t.Fatalf("peer body differs from owner body: %q vs %q", bytesA, bytesB)
@@ -142,8 +142,8 @@ func TestFleetPeerHitServesOwnerBytes(t *testing.T) {
 	// The fetched bytes were promoted: the repeat is a memory cache hit,
 	// not a second round-trip.
 	respA2, _ := postBody(t, a.base+"/v1/run", body)
-	if respA2.Header.Get(resultHeader) != "cached" {
-		t.Fatalf("repeat after peer hit served %q, want cached", respA2.Header.Get(resultHeader))
+	if respA2.Header.Get(ResultHeader) != "cached" {
+		t.Fatalf("repeat after peer hit served %q, want cached", respA2.Header.Get(ResultHeader))
 	}
 	if n := a.srv.stats.peerHits.Value(); n != 1 {
 		t.Fatalf("peer hits after repeat = %d, want still 1", n)
@@ -160,8 +160,8 @@ func TestFleetMissThenReplicateToOwner(t *testing.T) {
 	body := bodyOwnedBy(t, "run", []string{a.base, b.base}, b.base)
 
 	respA, bytesA := postBody(t, a.base+"/v1/run", body)
-	if respA.StatusCode != 200 || respA.Header.Get(resultHeader) != "cold" {
-		t.Fatalf("non-owner compute: status %d, served %q", respA.StatusCode, respA.Header.Get(resultHeader))
+	if respA.StatusCode != 200 || respA.Header.Get(ResultHeader) != "cold" {
+		t.Fatalf("non-owner compute: status %d, served %q", respA.StatusCode, respA.Header.Get(ResultHeader))
 	}
 	if n := a.srv.stats.peerMisses.Value(); n != 1 {
 		t.Fatalf("peer misses = %d, want 1 (cold owner answers 404)", n)
@@ -176,8 +176,8 @@ func TestFleetMissThenReplicateToOwner(t *testing.T) {
 		t.Fatalf("owner replications in = %d, want 1", n)
 	}
 	respB, bytesB := postBody(t, b.base+"/v1/run", body)
-	if respB.Header.Get(resultHeader) != "cached" {
-		t.Fatalf("owner after replication served %q, want cached", respB.Header.Get(resultHeader))
+	if respB.Header.Get(ResultHeader) != "cached" {
+		t.Fatalf("owner after replication served %q, want cached", respB.Header.Get(ResultHeader))
 	}
 	if !bytes.Equal(bytesA, bytesB) {
 		t.Fatalf("replicated body differs: %q vs %q", bytesA, bytesB)
@@ -201,8 +201,8 @@ func TestFleetChaosPeerDown(t *testing.T) {
 
 	body := bodyOwnedBy(t, "run", []string{cfg.FleetSelf, dead}, dead)
 	resp, b := postBody(t, ts.URL+"/v1/run", body)
-	if resp.StatusCode != 200 || resp.Header.Get(resultHeader) != "cold" {
-		t.Fatalf("status %d, served %q, want 200/cold", resp.StatusCode, resp.Header.Get(resultHeader))
+	if resp.StatusCode != 200 || resp.Header.Get(ResultHeader) != "cold" {
+		t.Fatalf("status %d, served %q, want 200/cold", resp.StatusCode, resp.Header.Get(ResultHeader))
 	}
 	if want := "resp:run|" + body; string(b) != want {
 		t.Fatalf("body %q, want %q", b, want)
@@ -267,8 +267,8 @@ func TestFleetChaosPeerSlow(t *testing.T) {
 	start := time.Now()
 	resp, _ := postBody(t, ts.URL+"/v1/run", body)
 	elapsed := time.Since(start)
-	if resp.StatusCode != 200 || resp.Header.Get(resultHeader) != "cold" {
-		t.Fatalf("status %d, served %q, want 200/cold", resp.StatusCode, resp.Header.Get(resultHeader))
+	if resp.StatusCode != 200 || resp.Header.Get(ResultHeader) != "cold" {
+		t.Fatalf("status %d, served %q, want 200/cold", resp.StatusCode, resp.Header.Get(ResultHeader))
 	}
 	if n := s.stats.peerErrors.Value(); n != 1 {
 		t.Fatalf("peer errors = %d, want 1", n)
@@ -303,8 +303,8 @@ func TestFleetChaosCorruptPeerBytes(t *testing.T) {
 
 	body := bodyOwnedBy(t, "run", []string{cfg.FleetSelf, peer}, peer)
 	resp, b := postBody(t, ts.URL+"/v1/run", body)
-	if resp.StatusCode != 200 || resp.Header.Get(resultHeader) != "cold" {
-		t.Fatalf("status %d, served %q, want 200/cold", resp.StatusCode, resp.Header.Get(resultHeader))
+	if resp.StatusCode != 200 || resp.Header.Get(ResultHeader) != "cold" {
+		t.Fatalf("status %d, served %q, want 200/cold", resp.StatusCode, resp.Header.Get(ResultHeader))
 	}
 	if bytes.Equal(b, corrupt) {
 		t.Fatal("corrupt peer bytes were served to a client")
@@ -331,8 +331,8 @@ func TestFleetChaosMembershipChangeMidStream(t *testing.T) {
 
 	// Alone on the ring: every key is self-owned, no peer traffic.
 	resp, _ := postBody(t, ts.URL+"/v1/run", `{"solo":1}`)
-	if resp.StatusCode != 200 || resp.Header.Get(resultHeader) != "cold" {
-		t.Fatalf("solo: status %d, served %q", resp.StatusCode, resp.Header.Get(resultHeader))
+	if resp.StatusCode != 200 || resp.Header.Get(ResultHeader) != "cold" {
+		t.Fatalf("solo: status %d, served %q", resp.StatusCode, resp.Header.Get(ResultHeader))
 	}
 	if n := s.stats.peerErrors.Value() + s.stats.peerMisses.Value(); n != 0 {
 		t.Fatalf("solo ring produced %d peer counters, want 0", n)
@@ -343,8 +343,8 @@ func TestFleetChaosMembershipChangeMidStream(t *testing.T) {
 	s.SetFleetMembers([]string{cfg.FleetSelf, dead})
 	deadOwned := bodyOwnedBy(t, "run", []string{cfg.FleetSelf, dead}, dead)
 	resp, _ = postBody(t, ts.URL+"/v1/run", deadOwned)
-	if resp.StatusCode != 200 || resp.Header.Get(resultHeader) != "cold" {
-		t.Fatalf("dead member joined: status %d, served %q", resp.StatusCode, resp.Header.Get(resultHeader))
+	if resp.StatusCode != 200 || resp.Header.Get(ResultHeader) != "cold" {
+		t.Fatalf("dead member joined: status %d, served %q", resp.StatusCode, resp.Header.Get(ResultHeader))
 	}
 	if n := s.stats.peerErrors.Value(); n != 1 {
 		t.Fatalf("peer errors = %d, want 1", n)
@@ -352,8 +352,8 @@ func TestFleetChaosMembershipChangeMidStream(t *testing.T) {
 	// The recompute landed in the local cache: the repeat does not pay a
 	// second fetch at the dead member.
 	resp, _ = postBody(t, ts.URL+"/v1/run", deadOwned)
-	if resp.Header.Get(resultHeader) != "cached" {
-		t.Fatalf("repeat served %q, want cached", resp.Header.Get(resultHeader))
+	if resp.Header.Get(ResultHeader) != "cached" {
+		t.Fatalf("repeat served %q, want cached", resp.Header.Get(ResultHeader))
 	}
 	if n := s.stats.peerErrors.Value(); n != 1 {
 		t.Fatalf("peer errors after cached repeat = %d, want still 1", n)
@@ -363,8 +363,8 @@ func TestFleetChaosMembershipChangeMidStream(t *testing.T) {
 	// keys never touch the peer path.
 	s.SetFleetMembers([]string{cfg.FleetSelf})
 	resp, _ = postBody(t, ts.URL+"/v1/run", `{"after":1}`)
-	if resp.StatusCode != 200 || resp.Header.Get(resultHeader) != "cold" {
-		t.Fatalf("after shrink: status %d, served %q", resp.StatusCode, resp.Header.Get(resultHeader))
+	if resp.StatusCode != 200 || resp.Header.Get(ResultHeader) != "cold" {
+		t.Fatalf("after shrink: status %d, served %q", resp.StatusCode, resp.Header.Get(ResultHeader))
 	}
 	if n := s.stats.peerErrors.Value() + s.stats.peerMisses.Value(); n != 1 {
 		t.Fatalf("shrunk ring added peer counters: %d, want 1 (the earlier error only)", n)

@@ -52,7 +52,7 @@ func TestIntegrationColdCachedCoalescedIdentical(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			resp, b := postBody(t, ts.URL+"/v1/run", req)
-			bodies[i], served[i] = b, resp.Header.Get(resultHeader)
+			bodies[i], served[i] = b, resp.Header.Get(ResultHeader)
 		}(i)
 	}
 	wg.Wait()
@@ -78,8 +78,8 @@ func TestIntegrationColdCachedCoalescedIdentical(t *testing.T) {
 
 	// The repeat after completion is a pure cache hit, still identical.
 	resp, b := postBody(t, ts.URL+"/v1/run", req)
-	if resp.Header.Get(resultHeader) != "cached" {
-		t.Fatalf("repeat served %q, want cached", resp.Header.Get(resultHeader))
+	if resp.Header.Get(ResultHeader) != "cached" {
+		t.Fatalf("repeat served %q, want cached", resp.Header.Get(ResultHeader))
 	}
 	if !bytes.Equal(b, bodies[0]) {
 		t.Fatalf("cached body differs from cold body:\n%s\nvs\n%s", b, bodies[0])
@@ -123,9 +123,9 @@ func TestIntegrationTaskSetReload(t *testing.T) {
 		t.Fatalf("task_set run failed: %d %s", resp1.StatusCode, b1)
 	}
 	resp2, b2 := postBody(t, ts.URL+"/v1/run", req)
-	if resp2.Header.Get(resultHeader) != "cached" {
+	if resp2.Header.Get(ResultHeader) != "cached" {
 		t.Fatalf("task_set reload served %q, want cached (content addressing must see through fresh objects)",
-			resp2.Header.Get(resultHeader))
+			resp2.Header.Get(ResultHeader))
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("task_set reload body differs")
@@ -185,7 +185,7 @@ func TestIntegrationAnalysis(t *testing.T) {
 		t.Fatalf("assignment schedules %d of %d processes", scheduled, ar.Processes)
 	}
 	resp2, b2 := postBody(t, ts.URL+"/v1/analysis", req)
-	if resp2.Header.Get(resultHeader) != "cached" || !bytes.Equal(b, b2) {
+	if resp2.Header.Get(ResultHeader) != "cached" || !bytes.Equal(b, b2) {
 		t.Fatal("analysis repeat not served verbatim from cache")
 	}
 	if n := s.stats.executions.Value(); n != 1 {

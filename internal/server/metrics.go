@@ -74,9 +74,10 @@ func (o *serverObs) countResponse(class string) {
 }
 
 // registerGauges publishes the queue/coalescer/cache gauges that are
-// sampled from their owners rather than counted, plus the experiment
-// layer's process-wide cache counters. Called once from New, after the
-// sampled structures exist.
+// sampled from their owners rather than counted, the degraded flag of a
+// configured persistent store (the value /healthz and /statsz read),
+// plus the experiment layer's process-wide cache counters. Called once
+// from New, after the sampled structures exist.
 func (s *Server) registerGauges() {
 	r := s.obs.reg
 	r.GaugeFunc("locsched_server_queue_depth",
@@ -94,12 +95,18 @@ func (s *Server) registerGauges() {
 	r.GaugeFunc("locsched_cache_memory_bytes",
 		"Result cache stored body bytes.",
 		func() float64 { return float64(s.cache.size()) })
+	if s.store != nil || s.storeErr != nil {
+		r.GaugeFunc("locsched_store_degraded",
+			"1 while the configured persistent store is unavailable (open failed or breaker not closed).",
+			func() float64 {
+				if s.storeDegraded() {
+					return 1
+				}
+				return 0
+			})
+	}
 	experiment.RegisterMetrics(r)
 }
-
-// Metrics returns the server's metrics registry (the /metricsz source) —
-// for tests and embedders that want to read or extend the series.
-func (s *Server) Metrics() *obs.Registry { return s.obs.reg }
 
 // mountObsEndpoints registers /metricsz and (when enabled) the
 // net/http/pprof handlers on the server mux.
@@ -160,7 +167,7 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", sw.status),
-			slog.String("class", sw.Header().Get(resultHeader)),
+			slog.String("class", sw.Header().Get(ResultHeader)),
 			slog.Int64("bytes", sw.bytes),
 			slog.Duration("dur", d))
 	})

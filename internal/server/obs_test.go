@@ -91,6 +91,25 @@ func metricValue(samples []obs.Sample, name, labelKey, labelVal string) float64 
 	return -1
 }
 
+// scrapeMetricsz fetches and parses one /metricsz page.
+func scrapeMetricsz(t *testing.T, url string) []obs.Sample {
+	t.Helper()
+	resp, err := http.Get(url + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ParseExposition(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples
+}
+
 // TestMetricszExposition: after live traffic, /metricsz serves valid
 // Prometheus text exposition whose request, cache, queue, and latency
 // series reflect what actually happened.
@@ -155,8 +174,10 @@ func TestMetricszExposition(t *testing.T) {
 	if v := metricValue(samples, "locsched_server_queue_depth", "", ""); v < 0 {
 		t.Fatal("queue_depth series missing")
 	}
-	if v := metricValue(samples, "locsched_store_writes_total", "", ""); v != -1 {
-		t.Fatalf("store series present without a store: writes_total = %v", v)
+	for _, name := range []string{"locsched_store_writes_total", "locsched_store_degraded"} {
+		if v := metricValue(samples, name, "", ""); v != -1 {
+			t.Fatalf("store series present without a store: %s = %v", name, v)
+		}
 	}
 }
 
@@ -232,8 +253,8 @@ func TestFleetTracePropagation(t *testing.T) {
 
 	// Owner computes first so the non-owner's request is a pure peer hit.
 	respB, _ := postBody(t, b.base+"/v1/run", body)
-	if respB.Header.Get(resultHeader) != "cold" {
-		t.Fatalf("owner compute served %q, want cold", respB.Header.Get(resultHeader))
+	if respB.Header.Get(ResultHeader) != "cold" {
+		t.Fatalf("owner compute served %q, want cold", respB.Header.Get(ResultHeader))
 	}
 
 	const id = "deadbeef-cafe-0001"
@@ -245,8 +266,8 @@ func TestFleetTracePropagation(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.Header.Get(resultHeader) != "peer" {
-		t.Fatalf("non-owner served %q, want peer", resp.Header.Get(resultHeader))
+	if resp.Header.Get(ResultHeader) != "peer" {
+		t.Fatalf("non-owner served %q, want peer", resp.Header.Get(ResultHeader))
 	}
 	if got := resp.Header.Get(obs.TraceHeader); got != id {
 		t.Fatalf("trace id not echoed: got %q", got)

@@ -23,13 +23,13 @@ import (
 // and the request was not buffered. Clients should honor Retry-After.
 var errSaturated = errors.New("server: job queue saturated")
 
-// resultHeader is the response header classifying how a keyed request
+// ResultHeader is the response header classifying how a keyed request
 // was served: "cold" (this request's execution), "cached" (memory
 // result cache), "disk" (persistent store, CRC-verified), "coalesced"
 // (attached to an identical in-flight execution), or "peer" (fetched
 // CRC-verified from the key's owner replica in fleet mode). It is a
 // header precisely so all the bodies stay byte-identical.
-const resultHeader = "X-Locsched-Result"
+const ResultHeader = "X-Locsched-Result"
 
 // task pairs an admitted job with the pending call its waiters block
 // on, carrying the admitting request's trace and enqueue time so the
@@ -565,7 +565,7 @@ func DecodeReplayMeta(meta []byte) (endpoint string, body []byte, ok bool) {
 func (s *Server) writeBody(w http.ResponseWriter, served string, body []byte) {
 	s.obs.countResponse(served)
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(resultHeader, served)
+	w.Header().Set(ResultHeader, served)
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
 }

@@ -98,12 +98,12 @@ func TestColdThenCached(t *testing.T) {
 	s, ts := testServer(t, smallConfig(), p)
 
 	resp1, b1 := postBody(t, ts.URL+"/v1/run", `{"a":1}`)
-	if resp1.StatusCode != 200 || resp1.Header.Get(resultHeader) != "cold" {
-		t.Fatalf("first: status %d, served %q", resp1.StatusCode, resp1.Header.Get(resultHeader))
+	if resp1.StatusCode != 200 || resp1.Header.Get(ResultHeader) != "cold" {
+		t.Fatalf("first: status %d, served %q", resp1.StatusCode, resp1.Header.Get(ResultHeader))
 	}
 	resp2, b2 := postBody(t, ts.URL+"/v1/run", `{"a":1}`)
-	if resp2.Header.Get(resultHeader) != "cached" {
-		t.Fatalf("second: served %q, want cached", resp2.Header.Get(resultHeader))
+	if resp2.Header.Get(ResultHeader) != "cached" {
+		t.Fatalf("second: served %q, want cached", resp2.Header.Get(ResultHeader))
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("cached body differs from cold body: %q vs %q", b1, b2)
@@ -132,7 +132,7 @@ func TestCoalescedSingleExecution(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			resp, b := postBody(t, ts.URL+"/v1/run", `{"heavy":true}`)
-			bodies[i], served[i] = b, resp.Header.Get(resultHeader)
+			bodies[i], served[i] = b, resp.Header.Get(ResultHeader)
 		}(i)
 	}
 	// Wait until every follower has attached, then release the gate.
@@ -250,8 +250,8 @@ func TestDeadline504(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	resp2, _ := postBody(t, ts.URL+"/v1/run", `{"slow":1}`)
-	if resp2.Header.Get(resultHeader) != "cached" {
-		t.Errorf("retry served %q, want cached", resp2.Header.Get(resultHeader))
+	if resp2.Header.Get(ResultHeader) != "cached" {
+		t.Errorf("retry served %q, want cached", resp2.Header.Get(ResultHeader))
 	}
 }
 

@@ -66,8 +66,8 @@ func TestWarmRestartFromDisk(t *testing.T) {
 
 	s1, ts1 := startServer(t, cfg, &fakePlanner{})
 	resp, cold := postBody(t, ts1.URL+"/v1/run", `{"persist":1}`)
-	if resp.StatusCode != 200 || resp.Header.Get(resultHeader) != "cold" {
-		t.Fatalf("cold: status %d, served %q", resp.StatusCode, resp.Header.Get(resultHeader))
+	if resp.StatusCode != 200 || resp.Header.Get(ResultHeader) != "cold" {
+		t.Fatalf("cold: status %d, served %q", resp.StatusCode, resp.Header.Get(ResultHeader))
 	}
 	if snap := getStats(t, ts1.URL); snap.DiskWrites != 1 || !snap.Store.Enabled || snap.Store.Degraded {
 		t.Fatalf("pre-restart store stats: %+v", snap.Store)
@@ -81,8 +81,8 @@ func TestWarmRestartFromDisk(t *testing.T) {
 	defer stopServer(t, s2, ts2)
 
 	resp, warm := postBody(t, ts2.URL+"/v1/run", `{"persist":1}`)
-	if resp.StatusCode != 200 || resp.Header.Get(resultHeader) != "disk" {
-		t.Fatalf("warm: status %d, served %q, want disk", resp.StatusCode, resp.Header.Get(resultHeader))
+	if resp.StatusCode != 200 || resp.Header.Get(ResultHeader) != "disk" {
+		t.Fatalf("warm: status %d, served %q, want disk", resp.StatusCode, resp.Header.Get(ResultHeader))
 	}
 	if !bytes.Equal(cold, warm) {
 		t.Fatalf("disk body differs from cold body: %q vs %q", cold, warm)
@@ -92,8 +92,8 @@ func TestWarmRestartFromDisk(t *testing.T) {
 	}
 	// The disk hit promoted the entry: the next repeat hits memory.
 	resp, again := postBody(t, ts2.URL+"/v1/run", `{"persist":1}`)
-	if resp.Header.Get(resultHeader) != "cached" {
-		t.Fatalf("post-promotion served %q, want cached", resp.Header.Get(resultHeader))
+	if resp.Header.Get(ResultHeader) != "cached" {
+		t.Fatalf("post-promotion served %q, want cached", resp.Header.Get(ResultHeader))
 	}
 	if !bytes.Equal(cold, again) {
 		t.Fatal("promoted body differs from cold body")
@@ -172,6 +172,9 @@ func TestStoreFaultsDegradeNotFail(t *testing.T) {
 	if !snap.Store.Enabled || !snap.Store.Degraded || snap.Store.Store.Breaker == store.BreakerClosed {
 		t.Fatalf("degraded statsz store section: %+v", snap.Store)
 	}
+	if v := metricValue(scrapeMetricsz(t, ts.URL), "locsched_store_degraded", "", ""); v != 1 {
+		t.Fatalf("locsched_store_degraded = %v, want 1", v)
+	}
 }
 
 // TestStoreOpenFailureServesMemoryOnly: an unusable store directory
@@ -191,8 +194,8 @@ func TestStoreOpenFailureServesMemoryOnly(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("memory-only request: %d", resp.StatusCode)
 	}
-	if resp2, _ := postBody(t, ts.URL+"/v1/run", `{"m":1}`); resp2.Header.Get(resultHeader) != "cached" {
-		t.Fatalf("memory cache broken without store: served %q", resp2.Header.Get(resultHeader))
+	if resp2, _ := postBody(t, ts.URL+"/v1/run", `{"m":1}`); resp2.Header.Get(ResultHeader) != "cached" {
+		t.Fatalf("memory cache broken without store: served %q", resp2.Header.Get(ResultHeader))
 	}
 	if !s.storeDegraded() {
 		t.Fatal("open failure not reported as degraded")
@@ -201,50 +204,8 @@ func TestStoreOpenFailureServesMemoryOnly(t *testing.T) {
 	if !snap.Store.Enabled || !snap.Store.Degraded || snap.Store.OpenError == "" {
 		t.Fatalf("open-failure store section: %+v", snap.Store)
 	}
-}
-
-// TestIntegrationRestartWarm runs the full restart-warm bench harness —
-// two in-process daemon lifetimes with the real experiment planner over
-// one store directory — and asserts the warm-start contract it was
-// built to prove: no hit-rate regression across the restart and a
-// warm lifetime actually served from disk.
-func TestIntegrationRestartWarm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real simulations twice")
-	}
-	cfg := DefaultConfig()
-	cfg.Workers = 2
-	cfg.Scale = 1
-	cfg.StoreDir = t.TempDir()
-	rep, err := RunRestartWarm(cfg, LoadConfig{
-		Concurrency: 4,
-		Requests:    40,
-		Scale:       1,
-		Timeout:     2 * time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Verify(); err != nil {
-		t.Fatalf("%v\n%s", err, rep.Format())
-	}
-	// The warm lifetime must not recompute keys the store already
-	// holds: its execution count stays below the cold lifetime's (only
-	// the per-run coalesce-burst nonce keys are genuinely new).
-	if rep.Warm.Stats.Executions >= rep.Cold.Stats.Executions {
-		t.Fatalf("warm executions %d did not drop below cold %d\n%s",
-			rep.Warm.Stats.Executions, rep.Cold.Stats.Executions, rep.Format())
-	}
-	if rep.Warm.Stats.Store.Store.Recovered == 0 {
-		t.Fatalf("warm store recovered no entries\n%s", rep.Format())
-	}
-	// Both lifetimes measured real requests, so the latency percentiles
-	// must be populated and ordered.
-	for name, lr := range map[string]*LoadReport{"cold": rep.Cold, "warm": rep.Warm} {
-		if lr.P50 <= 0 || lr.P95 < lr.P50 || lr.P99 < lr.P95 {
-			t.Errorf("%s lifetime: implausible latency percentiles p50=%v p95=%v p99=%v",
-				name, lr.P50, lr.P95, lr.P99)
-		}
+	if v := metricValue(scrapeMetricsz(t, ts.URL), "locsched_store_degraded", "", ""); v != 1 {
+		t.Fatalf("locsched_store_degraded = %v, want 1", v)
 	}
 }
 

@@ -380,6 +380,18 @@ func (s *Store) registerMetrics(r *obs.Registry) {
 			defer s.mu.Unlock()
 			return float64(s.total)
 		})
+	r.GaugeFunc("locsched_store_segments",
+		"Current segment file count.", func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(len(s.segIDs))
+		})
+	r.GaugeFunc("locsched_store_recovered_entries",
+		"Entries rebuilt from disk at Open.",
+		func() float64 { return float64(s.recovered) })
+	r.CounterFunc("locsched_store_retries_total",
+		"Re-attempted I/O operations.",
+		func() float64 { return float64(s.c.retries.Load()) })
 }
 
 // observeOp records one operation latency on h; nil h (metrics disabled)
