@@ -327,7 +327,11 @@ func BenchmarkAblationStaticMode(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := mpsoc.Run(epg, disp, base, cfg.Machine)
+				runner, err := mpsoc.NewRunner(epg, base, cfg.Machine)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := runner.Run(disp)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -482,7 +486,7 @@ func BenchmarkComputeMatrixXL(b *testing.B) {
 		b.Run(fmt.Sprintf("%dc", cores), func(b *testing.B) {
 			g := xlAnalysisGraph(b, cores)
 			// Each iteration builds a fresh Analyzer (exactly what a
-			// cachedMatrix miss does), so the numbers cover the full
+			// family's sharing-matrix miss does), so the numbers cover the full
 			// analysis phase — data spaces plus the pair sweep. The
 			// data-space phase additionally benefits from content dedup
 			// of repeated app templates; that is part of its design, not

@@ -20,6 +20,7 @@ var godocGatedFiles = []string{
 	"internal/trace/rle.go",
 	"internal/experiment/runnerpool.go",
 	"internal/experiment/fingerprint.go",
+	"internal/experiment/family.go",
 	"internal/experiment/serve.go",
 	"internal/sched/affinity.go",
 	"internal/sched/locality.go",

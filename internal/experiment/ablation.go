@@ -24,7 +24,7 @@ func AblationStaticMode(cfg Config, mixSize int) (*Sweep, error) {
 		return nil, err
 	}
 	mixSize = min(mixSize, len(apps))
-	epg, arrays, err := cachedCombine(apps[:mixSize])
+	epg, arrays, err := CombineApps(apps[:mixSize])
 	if err != nil {
 		return nil, err
 	}
@@ -102,15 +102,16 @@ func GreedyQuality(cfg Config, cores int) ([]GreedyQualityRow, error) {
 		}
 		// The unbiased greedy: OptimalSchedule maximizes the same
 		// machine-independent objective.
-		greedyAsg, err := cachedLS(app.Graph, cores, cfg.Workers, "", nil)
+		f := internFamily(app.Graph, app.Arrays)
+		greedyAsg, err := f.localitySchedule(cores, cfg.Workers, "", nil)
 		if err != nil {
 			return nil, err
 		}
-		m, err := cachedMatrix(app.Graph, app.Graph.Fingerprint(), cfg.Workers)
+		m, err := f.sharingMatrix(cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
-		_, optTotal, err := sched.OptimalSchedule(app.Graph, m, cores)
+		_, optTotal, err := sched.OptimalSchedule(f.g, m, cores)
 		if err != nil {
 			return nil, err
 		}

@@ -2,255 +2,109 @@ package experiment
 
 import (
 	"fmt"
-	"sync"
 
 	"locsched/internal/cache"
-	"locsched/internal/layout"
 	"locsched/internal/mpsoc"
 	"locsched/internal/sched"
 	"locsched/internal/sharing"
-	"locsched/internal/taskgraph"
 )
 
-// The scheduling-analysis cache. Sharing matrices, LS assignments, and
-// LSM mappings are pure functions of the EPG (and, for LSM, the base
+// The scheduling analysis of a family. Sharing matrices, LS assignments
+// and LSM mappings are pure functions of the EPG (and, for LSM, the base
 // layout and cache geometry); experiments re-run the same EPG under many
-// policies, parameter points, and benchmark iterations, so recomputing
-// the analysis per run dominated cells whose simulation is fast. Entries
-// are keyed on content fingerprints (taskgraph.Content / layoutFingerprint),
-// so content-equal workloads arriving as fresh objects — JSON reloads,
-// rebuilt mixes — hit instead of recomputing; the intern layer guarantees
-// at most one live object family per content class, so cached values
-// (which embed ProcIDs, and for LSM array pointers) stay valid for every
-// hit.
-//
-// The cache is bounded by a single budget across the three tiers, and
-// eviction is coherent: when the budget is exceeded all tiers clear
-// together. The tiers were previously cleared independently, so a figure
-// run could evict the matrix tier mid-cell while its ls/lsm tiers
-// survived, silently recomputing matrices once per remaining policy —
-// clearing wholesale keeps the tiers' lifetimes aligned (analysis is
-// cheap to recompute; the cap only guards unbounded growth when callers
-// churn through fresh graphs, as construction-heavy benchmarks do).
-var analysisCache = struct {
-	sync.Mutex
-	matrix map[string]*matrixEntry
-	ls     map[string]*lsEntry
-	lsm    map[string]*lsmEntry
-	stats  analysisStats
-}{
-	matrix: make(map[string]*matrixEntry),
-	ls:     make(map[string]*lsEntry),
-	lsm:    make(map[string]*lsmEntry),
-}
+// policies, parameter points and benchmark iterations, so recomputing
+// the analysis per run dominated cells whose simulation is fast. Each
+// result lives in the family it was computed on (family.go), so
+// content-equal workloads arriving as fresh objects hit it through
+// interning, and it is dropped with its family.
 
-// maxAnalysisEntries budgets the total entry count across the matrix,
-// ls, and lsm tiers. It is a variable only so eviction tests can shrink
-// it; production code must treat it as a constant.
-var maxAnalysisEntries = 192
-
-// analysisStats counts per-tier hits and misses plus coherent
-// evictions; the cache-behaviour tests pin figure-run hit patterns
-// against it.
-type analysisStats struct {
-	MatrixHits, MatrixMisses int64
-	LSHits, LSMisses         int64
-	LSMHits, LSMMisses       int64
-	Evictions                int64
-}
-
-type matrixEntry struct {
-	g  *taskgraph.Graph // retained: the canonical graph the matrix was computed on
-	m  *sharing.Matrix
-	an *sharing.Analyzer // the data spaces behind m, reused by the LSM mapping
-}
-
-type lsEntry struct {
-	g   *taskgraph.Graph
-	asg *sched.Assignment
-}
-
-type lsmEntry struct {
-	g       *taskgraph.Graph
-	base    layout.AddressMap
-	mapping *sched.MappingResult
-}
-
-// analysisStatsSnapshot returns the current counters.
-func analysisStatsSnapshot() analysisStats {
-	analysisCache.Lock()
-	defer analysisCache.Unlock()
-	return analysisCache.stats
-}
-
-// clearAnalysisCache wipes every tier (coherently) and is also invoked
-// when the intern table evicts, so analysis entries never outlive the
-// canonical object family they were computed on.
-func clearAnalysisCache() {
-	analysisCache.Lock()
-	analysisCache.matrix = make(map[string]*matrixEntry)
-	analysisCache.ls = make(map[string]*lsEntry)
-	analysisCache.lsm = make(map[string]*lsmEntry)
-	analysisCache.Unlock()
-}
-
-// evictAnalysisIfFullLocked clears all three tiers together when the
-// shared budget is exhausted. Callers hold analysisCache.Mutex.
-func evictAnalysisIfFullLocked() {
-	if len(analysisCache.matrix)+len(analysisCache.ls)+len(analysisCache.lsm) >= maxAnalysisEntries {
-		analysisCache.matrix = make(map[string]*matrixEntry)
-		analysisCache.ls = make(map[string]*lsEntry)
-		analysisCache.lsm = make(map[string]*lsmEntry)
-		analysisCache.stats.Evictions++
-	}
-}
-
-// cachedMatrix returns the (possibly memoized) sharing matrix of g,
-// building misses with the blocked parallel construction on `workers`
-// goroutines (bit-identical to the sequential path for any count). The
-// graph is frozen first: a cached analysis is valid only for the exact
-// structure it was keyed on, so post-construction mutation is rejected
-// by taskgraph instead of silently invalidating entries.
-func cachedMatrix(g *taskgraph.Graph, gk string, workers int) (*sharing.Matrix, error) {
-	g.Freeze()
-	analysisCache.Lock()
-	e, ok := analysisCache.matrix[gk]
-	if ok {
-		analysisCache.stats.MatrixHits++
+// sharingMatrix returns the family's sharing matrix, building a miss with
+// the blocked parallel construction on `workers` goroutines
+// (bit-identical to the sequential path for any count).
+func (f *family) sharingMatrix(workers int) (*sharing.Matrix, error) {
+	families.Lock()
+	fm := f.matrix
+	if fm != nil {
+		families.stats.MatrixHits++
 	} else {
-		analysisCache.stats.MatrixMisses++
+		families.stats.MatrixMisses++
 	}
-	analysisCache.Unlock()
-	if ok {
-		return e.m, nil
+	families.Unlock()
+	if fm != nil {
+		return fm.m, nil
 	}
 	an := sharing.NewAnalyzer()
-	m, err := an.MatrixParallel(g, workers)
+	m, err := an.MatrixParallel(f.g, workers)
 	if err != nil {
 		return nil, err
 	}
-	analysisCache.Lock()
-	evictAnalysisIfFullLocked()
-	analysisCache.matrix[gk] = &matrixEntry{g: g, m: m, an: an}
-	analysisCache.Unlock()
-	return m, nil
+	families.Lock()
+	defer families.Unlock()
+	if f.matrix == nil {
+		f.matrix = &familyMatrix{m: m, an: an}
+		chargeLocked(f.gen)
+	}
+	return f.matrix.m, nil
 }
 
-// matrixAnalyzer returns the analyzer that built g's cached sharing
-// matrix, or nil when the matrix tier no longer holds it for this exact
-// graph. It peeks without counting a hit or a miss.
-func matrixAnalyzer(g *taskgraph.Graph, gk string) *sharing.Analyzer {
-	analysisCache.Lock()
-	defer analysisCache.Unlock()
-	if e, ok := analysisCache.matrix[gk]; ok && e.g == g {
-		return e.an
+// analyzer returns the analyzer behind the family's sharing matrix, or
+// nil before the matrix exists. It counts neither a hit nor a miss.
+func (f *family) analyzer() *sharing.Analyzer {
+	families.Lock()
+	defer families.Unlock()
+	if f.matrix == nil {
+		return nil
 	}
-	return nil
+	return f.matrix.an
 }
 
-// cachedLS returns the (possibly memoized) LS assignment for g on the
-// given core count. biasKey/bias carry the machine-model placement hook
-// (see machineBias): the key is folded into the cache key so biased and
-// unbiased schedules of one graph never collide, and ("", nil) — the
-// homogeneous machine — leaves both the key and the schedule exactly as
-// they were before the hook existed.
-func cachedLS(g *taskgraph.Graph, cores, workers int, biasKey string, bias sched.CoreBias) (*sched.Assignment, error) {
-	g.Freeze()
-	gk := g.Fingerprint()
-	key := fmt.Sprintf("%s|cores=%d", gk, cores)
-	if biasKey != "" {
-		key += "|bias=" + biasKey
-	}
-	analysisCache.Lock()
-	e, ok := analysisCache.ls[key]
-	if ok {
-		analysisCache.stats.LSHits++
-	} else {
-		analysisCache.stats.LSMisses++
-	}
-	analysisCache.Unlock()
-	if ok {
-		return e.asg, nil
-	}
-	m, err := cachedMatrix(g, gk, workers)
-	if err != nil {
-		return nil, err
-	}
-	asg, err := sched.LocalityScheduleBiased(g, m, cores, bias)
-	if err != nil {
-		return nil, err
-	}
-	analysisCache.Lock()
-	evictAnalysisIfFullLocked()
-	analysisCache.ls[key] = &lsEntry{g: g, asg: asg}
-	analysisCache.Unlock()
-	return asg, nil
+// localitySchedule returns the family's LS assignment on the given core
+// count. biasKey/bias carry the machine-model placement hook (see
+// machineBias): the key separates biased and unbiased schedules of one
+// graph, and ("", nil) — the homogeneous machine — schedules exactly as
+// before the hook existed.
+func (f *family) localitySchedule(cores, workers int, biasKey string, bias sched.CoreBias) (*sched.Assignment, error) {
+	return derive(f, f.ls, lsKey{cores, biasKey}, &families.stats.LSHits, &families.stats.LSMisses,
+		func() (*sched.Assignment, error) {
+			m, err := f.sharingMatrix(workers)
+			if err != nil {
+				return nil, err
+			}
+			return sched.LocalityScheduleBiased(f.g, m, cores, bias)
+		})
 }
 
-// lsmKey extends a graph fingerprint with the machine shape and the base
-// layout's content — everything the LSM mapping phase depends on beyond
-// the EPG.
-func lsmKey(gk string, cores int, base layout.AddressMap, geom cache.Geometry) string {
-	return fmt.Sprintf("%s|cores=%d|geom=%d,%d,%d|%s",
-		gk, cores, geom.Size, geom.BlockSize, geom.Assoc, layoutFingerprint(base))
-}
-
-// cachedLSM returns the (possibly memoized) LSM mapping — assignment plus
-// re-laid-out address map — for g on the given machine. Unlike the
-// matrix and ls tiers (whose values are ProcID-only and therefore valid
-// for any content-equal graph), an LSM mapping embeds array and layout
-// pointers, so a hit additionally requires the entry's exact (graph,
-// base) objects: the intern layer makes that the common case, and the
-// identity check keeps a stale-family entry (e.g. one raced in around
-// an intern eviction) from ever mixing object families — it reads as a
-// miss and is overwritten.
-//
-// A miss obtains the LS assignment through cachedLS and threads it into
-// NewLSM, so LS+LSM figure columns on the same (graph, cores) run
-// LocalitySchedule (and the sharing matrix behind it) exactly once,
-// whichever policy's cell lands first. NewLSM also reads its data spaces
-// from the matrix's analyzer instead of computing them again.
-func cachedLSM(g *taskgraph.Graph, cores int, base layout.AddressMap, geom cache.Geometry, workers int, biasKey string, bias sched.CoreBias) (*sched.MappingResult, error) {
-	g.Freeze()
-	gk := g.Fingerprint()
-	key := lsmKey(gk, cores, base, geom)
-	if biasKey != "" {
-		key += "|bias=" + biasKey
-	}
-	analysisCache.Lock()
-	e, ok := analysisCache.lsm[key]
-	ok = ok && e.g == g && e.base == base
-	if ok {
-		analysisCache.stats.LSMHits++
-	} else {
-		analysisCache.stats.LSMMisses++
-	}
-	analysisCache.Unlock()
-	if ok {
-		return e.mapping, nil
-	}
-	asg, err := cachedLS(g, cores, workers, biasKey, bias)
-	if err != nil {
-		return nil, err
-	}
-	_, mapping, err := sched.NewLSM(g, nil, asg, cores, base, geom, matrixAnalyzer(g, gk))
-	if err != nil {
-		return nil, err
-	}
-	analysisCache.Lock()
-	evictAnalysisIfFullLocked()
-	analysisCache.lsm[key] = &lsmEntry{g: g, base: base, mapping: mapping}
-	analysisCache.Unlock()
-	return mapping, nil
+// lsmMapping returns the family's LSM mapping — assignment plus
+// re-laid-out address map — on the given machine. A miss obtains the LS
+// assignment through localitySchedule and threads it into NewLSM, so
+// LS+LSM figure columns on the same (graph, cores) run LocalitySchedule
+// (and the sharing matrix behind it) exactly once, whichever policy's
+// cell lands first. NewLSM also reads its data spaces from the matrix's
+// analyzer instead of computing them again.
+func (f *family) lsmMapping(cores int, align int64, geom cache.Geometry, workers int, biasKey string, bias sched.CoreBias) (*sched.MappingResult, error) {
+	key := lsmKey{lsKey{cores, biasKey}, align, geom}
+	return derive(f, f.lsm, key, &families.stats.LSMHits, &families.stats.LSMMisses,
+		func() (*sched.MappingResult, error) {
+			base, err := f.base(align)
+			if err != nil {
+				return nil, err
+			}
+			asg, err := f.localitySchedule(cores, workers, biasKey, bias)
+			if err != nil {
+				return nil, err
+			}
+			_, mapping, err := sched.NewLSM(f.g, nil, asg, cores, base.packed, geom, f.analyzer())
+			return mapping, err
+		})
 }
 
 // machineBias derives the scheduling layer's placement hook from the
 // machine model. On a homogeneous machine it returns ("", nil), which
-// leaves every cache key and schedule byte-identical to the pre-Machine
-// code; otherwise it returns a closure over the per-core placement-cost
-// table (mpsoc.Config.CoreCostTable — effective hit latency plus base
-// miss penalty, lower is better) and a key naming everything the table
-// depends on, for folding into the analysis-cache keys.
+// leaves every analysis key and schedule byte-identical to the
+// pre-Machine code; otherwise it returns a closure over the per-core
+// placement-cost table (mpsoc.Config.CoreCostTable — effective hit
+// latency plus base miss penalty, lower is better) and a key naming
+// everything the table depends on, for the family's analysis keys.
 func machineBias(cfg mpsoc.Config) (string, sched.CoreBias, error) {
 	if cfg.Machine.Homogeneous() {
 		return "", nil, nil

@@ -2,28 +2,45 @@ package experiment
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
-	"locsched/internal/layout"
 	"locsched/internal/mpsoc"
 	"locsched/internal/workload"
 )
 
-// resetCachesForTest clears every content-addressed cache and its
-// counters so hit-pattern assertions see only the test's own traffic.
+// resetCachesForTest drops the family table, empties the runner pool and
+// zeroes every counter, so hit-pattern assertions see only the test's own
+// traffic.
 func resetCachesForTest() {
-	clearAnalysisCache()
-	analysisCache.Lock()
-	analysisCache.stats = analysisStats{}
-	analysisCache.Unlock()
-	clearRunnerPool()
+	families.Lock()
+	dropFamiliesLocked()
+	families.stats = CacheStats{}
+	families.Unlock()
 	runnerPool.Lock()
+	runnerPool.m = make(map[runnerKey][]*mpsoc.Runner)
+	runnerPool.n = 0
 	runnerPool.hits = 0
 	runnerPool.Unlock()
-	workloadIntern.Lock()
-	workloadIntern.m = make(map[string]*internEntry)
-	workloadIntern.hits = 0
-	workloadIntern.Unlock()
+}
+
+// analysisStats is the analysis part of CacheStats: the per-tier hits
+// and misses plus whole-table drops.
+type analysisStats struct {
+	MatrixHits, MatrixMisses int64
+	LSHits, LSMisses         int64
+	LSMHits, LSMMisses       int64
+	Evictions                int64
+}
+
+func analysisStatsSnapshot() analysisStats {
+	st := Stats()
+	return analysisStats{
+		MatrixHits: st.MatrixHits, MatrixMisses: st.MatrixMisses,
+		LSHits: st.LSHits, LSMisses: st.LSMisses,
+		LSMHits: st.LSMHits, LSMMisses: st.LSMMisses,
+		Evictions: st.AnalysisEvictions,
+	}
 }
 
 const reloadSpec = `{
@@ -74,11 +91,11 @@ func TestRunnerPoolContentAddressedReload(t *testing.T) {
 	}
 
 	first := run()
-	if h := runnerPoolHits(); h != 0 {
+	if h := Stats().RunnerPoolHits; h != 0 {
 		t.Fatalf("first load already hit the runner pool %d times", h)
 	}
 	second := run()
-	if h := runnerPoolHits(); h != 1 {
+	if h := Stats().RunnerPoolHits; h != 1 {
 		t.Errorf("second JSON load: runner pool hits = %d, want 1 (reload must reuse the parked runner)", h)
 	}
 	st := analysisStatsSnapshot()
@@ -90,21 +107,18 @@ func TestRunnerPoolContentAddressedReload(t *testing.T) {
 		t.Errorf("reload changed results: %+v vs %+v", first, second)
 	}
 
-	workloadIntern.Lock()
-	interned := workloadIntern.hits
-	workloadIntern.Unlock()
-	if interned == 0 {
+	if Stats().InternHits == 0 {
 		t.Error("second load was not interned onto the first load's canonical workload")
 	}
 }
 
-// TestAnalysisHitPatternFigure6 pins the analysis-cache hit pattern of a
+// TestAnalysisHitPatternFigure6 pins the analysis hit pattern of a
 // figure run: each application's matrix and LS assignment are computed
 // exactly once (the LS cell misses them in, the LSM cell reuses the
-// assignment through cachedLS instead of recomputing LocalitySchedule),
+// assignment through the family instead of recomputing LocalitySchedule),
 // and a complete re-run — which rebuilds every app as fresh,
 // content-equal objects — is served entirely from the ls/lsm tiers
-// without touching the matrix tier again.
+// without touching the matrix again.
 func TestAnalysisHitPatternFigure6(t *testing.T) {
 	resetCachesForTest()
 	cfg := DefaultConfig()
@@ -134,7 +148,7 @@ func TestAnalysisHitPatternFigure6(t *testing.T) {
 		t.Fatalf("second fig6 run: stats %+v, want %+v (no analysis may be recomputed)", st, want)
 	}
 	if st.Evictions != 0 {
-		t.Fatalf("fig6 runs evicted the analysis cache %d times", st.Evictions)
+		t.Fatalf("fig6 runs dropped the family table %d times", st.Evictions)
 	}
 }
 
@@ -176,65 +190,140 @@ func TestLSMReusesCachedAssignment(t *testing.T) {
 	resetCachesForTest()
 }
 
-// TestAnalysisCacheCoherentEviction: when the shared budget overflows,
-// all three tiers clear together — the matrix tier can no longer be
-// evicted out from under surviving ls/lsm entries.
-func TestAnalysisCacheCoherentEviction(t *testing.T) {
+// TestFamilyTableEviction: one budget covers families and their derived
+// entries. At the budget the whole table drops, and AnalysisEvictions
+// counts it. A cell holding a dropped family finishes on it, but what it
+// inserts there is invisible once the same content is interned again.
+func TestFamilyTableEviction(t *testing.T) {
 	resetCachesForTest()
-	orig := maxAnalysisEntries
-	maxAnalysisEntries = 3
-	defer func() { maxAnalysisEntries = orig; resetCachesForTest() }()
+	orig := maxFamilyEntries
+	maxFamilyEntries = 4
+	defer func() { maxFamilyEntries = orig; resetCachesForTest() }()
 
-	app1, err := workload.Build("Shape", 0, workload.Params{Scale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	app2, err := workload.Build("Track", 1, workload.Params{Scale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base1, err := layout.Pack(32, app1.Arrays...)
-	if err != nil {
-		t.Fatal(err)
+	build := func(name string, task int) *workload.App {
+		t.Helper()
+		app, err := workload.Build(name, task, workload.Params{Scale: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return app
 	}
 	geom := mpsoc.DefaultConfig().Cache
-
-	// app1 fills the budget: matrix + ls + lsm = 3 entries.
-	if _, err := cachedLS(app1.Graph, 4, 1, "", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cachedLSM(app1.Graph, 4, base1, geom, 1, "", nil); err != nil {
-		t.Fatal(err)
-	}
-	sizes := func() (m, ls, lsm int) {
-		analysisCache.Lock()
-		defer analysisCache.Unlock()
-		return len(analysisCache.matrix), len(analysisCache.ls), len(analysisCache.lsm)
-	}
-	if m, ls, lsm := sizes(); m != 1 || ls != 1 || lsm != 1 {
-		t.Fatalf("after app1: tiers (%d,%d,%d), want (1,1,1)", m, ls, lsm)
+	tableLen := func() int {
+		families.Lock()
+		defer families.Unlock()
+		return len(families.m)
 	}
 
-	// app2's matrix insert overflows the budget: every tier must clear
-	// together before the insert, leaving exactly app2's fresh entries.
-	if _, err := cachedLS(app2.Graph, 4, 1, "", nil); err != nil {
+	// Shape fills the budget: family + matrix + LS + base = 4 entries.
+	first := build("Shape", 0)
+	shape := internFamily(first.Graph, first.Arrays)
+	if _, err := shape.localitySchedule(4, 1, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if m, ls, lsm := sizes(); m != 1 || ls != 1 || lsm != 0 {
-		t.Fatalf("after coherent eviction: tiers (%d,%d,%d), want (1,1,0) — app1 entries must not survive in any tier", m, ls, lsm)
+	if _, err := shape.base(32); err != nil {
+		t.Fatal(err)
 	}
+	if st := analysisStatsSnapshot(); st.Evictions != 0 {
+		t.Fatalf("evictions = %d below the budget, want 0", st.Evictions)
+	}
+
+	// Interning Track at the budget drops the whole table first.
+	track := build("Track", 1)
+	internFamily(track.Graph, track.Arrays)
 	if st := analysisStatsSnapshot(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
+		t.Fatalf("evictions = %d at the budget, want 1", st.Evictions)
 	}
-	// The evicted graph recomputes coherently: a hit pattern consistent
-	// with an empty cache, not a half-evicted one. (Hits before this
-	// point are legitimate — cachedLSM reuses app1's LS assignment.)
+	if n := tableLen(); n != 1 {
+		t.Fatalf("table holds %d families after the drop, want 1 (Track only)", n)
+	}
+
+	// A cell still holding the dropped Shape family finishes on it: its
+	// LS assignment is still there, and its new LSM mapping lands in it.
 	before := analysisStatsSnapshot()
-	if _, err := cachedLS(app1.Graph, 4, 1, "", nil); err != nil {
+	if _, err := shape.lsmMapping(4, 32, geom, 1, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := analysisStatsSnapshot(); st.LSHits != before.LSHits+1 || st.LSMMisses != before.LSMMisses+1 {
+		t.Fatalf("dropped family lost its own entries: stats %+v, before %+v", st, before)
+	}
+	if n := tableLen(); n != 1 {
+		t.Fatalf("an insert through a dropped family re-entered the table (%d families)", n)
+	}
+
+	// Re-interning Shape's content yields a fresh family: neither the
+	// analysis computed before the drop nor the insert made after it is
+	// visible.
+	again := build("Shape", 0)
+	fresh := internFamily(again.Graph, again.Arrays)
+	if fresh == shape {
+		t.Fatal("re-interning returned the dropped family")
+	}
+	before = analysisStatsSnapshot()
+	if _, err := fresh.lsmMapping(4, 32, geom, 1, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	st := analysisStatsSnapshot()
-	if st.LSHits != before.LSHits {
-		t.Fatalf("app1 LS after eviction reported a hit; tiers evicted incoherently (stats %+v)", st)
+	if st.LSMMisses != before.LSMMisses+1 || st.LSMisses != before.LSMisses+1 || st.MatrixMisses != before.MatrixMisses+1 {
+		t.Fatalf("re-interned family saw the dropped family's entries: stats %+v, before %+v", st, before)
+	}
+}
+
+// TestConcurrentReloadsAcrossDrops: concurrent cells on content-equal
+// JSON reloads, with a budget small enough that the family table drops
+// while they run, produce exactly the sequential results. Under the race
+// detector this also covers the table, family maps and runner pool.
+func TestConcurrentReloadsAcrossDrops(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Machine.Cores = 4
+	policies := []Policy{LS, LSM, RRS}
+	load := func() []*workload.App {
+		apps, err := workload.FromJSON(strings.NewReader(reloadSpec))
+		if err != nil {
+			t.Error(err)
+		}
+		return apps
+	}
+
+	resetCachesForTest()
+	want := make(map[Policy]*RunResult)
+	for _, p := range policies {
+		r, err := RunMix(load(), p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[p] = r
+	}
+
+	resetCachesForTest()
+	orig := maxFamilyEntries
+	maxFamilyEntries = 3
+	defer func() { maxFamilyEntries = orig; resetCachesForTest() }()
+
+	const goroutines, rounds = 4, 3
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				apps := load()
+				for j := range policies {
+					p := policies[(w+i+j)%len(policies)]
+					got, err := RunMix(apps, p, cfg)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if *got != *want[p] {
+						t.Errorf("goroutine %d round %d %s: %+v, want %+v", w, i, p, got, want[p])
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := analysisStatsSnapshot(); st.Evictions == 0 {
+		t.Error("the family table never dropped; the test does not exercise drops mid-flight")
 	}
 }

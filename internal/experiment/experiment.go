@@ -170,13 +170,12 @@ func (r *RunResult) MissRate() float64 {
 }
 
 // RunGraph simulates one EPG under one policy. The workload is first
-// canonicalized by content (internWorkload), so content-equal graphs
-// arriving as fresh objects — JSON reloads, rebuilt mixes — share every
-// downstream cache. The base layout is memoized per (alignment, array
-// list), the scheduling analysis per content fingerprint, and the
+// interned onto its content family (internFamily), so content-equal
+// graphs arriving as fresh objects — JSON reloads, rebuilt mixes —
+// share the family's base layouts and scheduling analysis, and the
 // per-run machinery (per-core caches, trace cursors) is drawn from a
-// pool keyed on the (graph, layout, machine) content triple, so repeated
-// cells — policies, sweep points, benchmark iterations, reloads — pay
+// pool keyed on the (layout, machine) pair, so repeated cells —
+// policies, sweep points, benchmark iterations, reloads — pay
 // construction once.
 func RunGraph(name string, g *taskgraph.Graph, arrays []*prog.Array, policy Policy, cfg Config) (*RunResult, error) {
 	return runCell(name, g, arrays, policy, cfg, sched.StealWhenIdle)
@@ -190,12 +189,13 @@ func runCell(name string, g *taskgraph.Graph, arrays []*prog.Array, policy Polic
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g, arrays = internWorkload(g, arrays)
-	base, err := cachedPack(cfg.Align, arrays)
+	f := internFamily(g, arrays)
+	g = f.g
+	base, err := f.base(cfg.Align)
 	if err != nil {
 		return nil, err
 	}
-	am := layout.AddressMap(base)
+	am := layout.AddressMap(base.packed)
 	// The machine-model placement hook: nil on homogeneous machines (every
 	// policy then schedules exactly as before the Machine axis existed),
 	// a per-core cost ranking on heterogeneous ones.
@@ -240,13 +240,13 @@ func runCell(name string, g *taskgraph.Graph, arrays []*prog.Array, policy Polic
 		}
 		disp = d
 	case LS:
-		asg, err := cachedLS(g, cfg.Machine.Cores, cfg.Workers, biasKey, bias)
+		asg, err := f.localitySchedule(cfg.Machine.Cores, cfg.Workers, biasKey, bias)
 		if err != nil {
 			return nil, err
 		}
 		disp = sched.NewStaticMode("LS", asg, mode)
 	case LSM:
-		mapping, err := cachedLSM(g, cfg.Machine.Cores, base, cfg.Machine.Cache, cfg.Workers, biasKey, bias)
+		mapping, err := f.lsmMapping(cfg.Machine.Cores, cfg.Align, cfg.Machine.Cache, cfg.Workers, biasKey, bias)
 		if err != nil {
 			return nil, err
 		}
@@ -257,7 +257,7 @@ func runCell(name string, g *taskgraph.Graph, arrays []*prog.Array, policy Polic
 		return nil, fmt.Errorf("experiment: unknown policy %q", policy)
 	}
 
-	runner, err := takeRunner(g, am, cfg.Machine)
+	runner, err := takeRunner(f, am, cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +265,7 @@ func runCell(name string, g *taskgraph.Graph, arrays []*prog.Array, policy Polic
 	if err != nil {
 		return nil, err
 	}
-	putRunner(g, am, cfg.Machine, runner)
+	putRunner(am, cfg.Machine, runner)
 	out := &RunResult{
 		Workload:      name,
 		Policy:        policy,
@@ -292,10 +292,9 @@ func RunApp(app *workload.App, policy Policy, cfg Config) (*RunResult, error) {
 
 // RunMix simulates several applications concurrently (Figure 7 cells).
 // The merged EPG is memoized per app set, so every cell over the same
-// mix shares one graph — and with it the scheduling-analysis cache
-// entries and the runner pool.
+// mix shares one graph — and with it one family and its pooled runners.
 func RunMix(apps []*workload.App, policy Policy, cfg Config) (*RunResult, error) {
-	epg, arrays, err := cachedCombine(apps)
+	epg, arrays, err := CombineApps(apps)
 	if err != nil {
 		return nil, err
 	}

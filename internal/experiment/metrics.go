@@ -32,7 +32,7 @@ func RegisterMetrics(r *obs.Registry) {
 		"LSM-mapping analysis tier cache misses.",
 		func(s CacheStats) int64 { return s.LSMMisses })
 	counter("locsched_experiment_analysis_evictions_total",
-		"Coherent whole-cache analysis evictions.",
+		"Whole-table drops of the workload family table.",
 		func(s CacheStats) int64 { return s.AnalysisEvictions })
 	counter("locsched_experiment_runner_pool_hits_total",
 		"Simulations served a pooled runner.",

@@ -15,101 +15,65 @@ import (
 // Runner reuse. mpsoc.NewRunner builds per-core caches and trace
 // cursors; at 128+ cores that construction (and the garbage it leaves)
 // rivals the simulation itself, and experiments re-run the same
-// (graph, layout, machine) triple once per policy, parameter point, and
-// benchmark iteration. Runners reset cheaply between runs, so finished
-// cells park theirs here and later cells with the same key take it over
-// instead of rebuilding. Keys are content-addressed — the graph and
-// address-map fingerprints of fingerprint.go plus the comparable machine
-// config — so content-equal workloads arriving as fresh objects (JSON
-// reloads via LoadApps, rebuilt mixes) reuse parked runners instead of
-// missing every pool, which pointer-identity keys did. The intern layer
-// keeps one live object family per content class, which is what makes
-// the content key hit; object consistency itself is enforced per entry
-// (pooledRunner's identity check), so no interleaving of interning and
-// eviction can wire a runner to a foreign object family.
+// (workload, layout, machine) triple once per policy, parameter point,
+// and benchmark iteration. Runners reset cheaply between runs, so
+// finished cells park theirs here and later cells with the same key take
+// it over instead of rebuilding. The key is the address map plus the
+// comparable machine config: every address map a cell runs on is a base
+// layout or an LSM layout owned by exactly one family (family.go), so the
+// map alone names the graph too, and content-equal reloads — interned
+// onto the same family — find the runners their first load parked.
 //
 // The pool is bounded; when full it is cleared wholesale (runners are
 // cheap to rebuild, the cap only guards retained memory under churn).
 var runnerPool = struct {
 	sync.Mutex
-	m    map[runnerKey][]pooledRunner
+	m    map[runnerKey][]*mpsoc.Runner
 	n    int
 	hits int64
-}{m: make(map[runnerKey][]pooledRunner)}
+}{m: make(map[runnerKey][]*mpsoc.Runner)}
 
 type runnerKey struct {
-	gfp  string
-	amfp string
-	cfg  mpsoc.Config
-}
-
-// pooledRunner retains the exact objects the runner was built on: a
-// content-keyed hit additionally requires identity, so a stale-family
-// runner (e.g. parked around an intern eviction) is discarded instead
-// of being wired to a different object family.
-type pooledRunner struct {
-	r  *mpsoc.Runner
-	g  *taskgraph.Graph
-	am layout.AddressMap
+	am  layout.AddressMap
+	cfg mpsoc.Config
 }
 
 const maxPooledRunners = 64
 
-// clearRunnerPool empties the pool; invoked on intern eviction so parked
-// runners never outlive the canonical object family they were built on.
-func clearRunnerPool() {
+// takeRunner returns a pooled runner for the family's graph on the
+// address map and machine, or builds one.
+func takeRunner(f *family, am layout.AddressMap, cfg mpsoc.Config) (*mpsoc.Runner, error) {
+	key := runnerKey{am, cfg}
 	runnerPool.Lock()
-	runnerPool.m = make(map[runnerKey][]pooledRunner)
-	runnerPool.n = 0
-	runnerPool.Unlock()
-}
-
-// runnerPoolHits returns the number of takeRunner calls served from the
-// pool (the content-addressing regression tests pin it).
-func runnerPoolHits() int64 {
-	runnerPool.Lock()
-	defer runnerPool.Unlock()
-	return runnerPool.hits
-}
-
-// takeRunner returns a pooled runner for the triple or builds one. A
-// parked runner is reused only when it was built on exactly the objects
-// asked for (see pooledRunner); mismatched entries are dropped.
-func takeRunner(g *taskgraph.Graph, am layout.AddressMap, cfg mpsoc.Config) (*mpsoc.Runner, error) {
-	key := runnerKey{g.Fingerprint(), layoutFingerprint(am), cfg}
-	runnerPool.Lock()
-	for rs := runnerPool.m[key]; len(rs) > 0; rs = runnerPool.m[key] {
-		p := rs[len(rs)-1]
+	if rs := runnerPool.m[key]; len(rs) > 0 {
+		r := rs[len(rs)-1]
 		runnerPool.m[key] = rs[:len(rs)-1]
 		runnerPool.n--
-		if p.g == g && p.am == am {
-			runnerPool.hits++
-			runnerPool.Unlock()
-			return p.r, nil
-		}
+		runnerPool.hits++
+		runnerPool.Unlock()
+		return r, nil
 	}
 	runnerPool.Unlock()
-	return mpsoc.NewRunner(g, am, cfg)
+	return mpsoc.NewRunner(f.g, am, cfg)
 }
 
 // putRunner parks a runner for reuse.
-func putRunner(g *taskgraph.Graph, am layout.AddressMap, cfg mpsoc.Config, r *mpsoc.Runner) {
-	key := runnerKey{g.Fingerprint(), layoutFingerprint(am), cfg}
+func putRunner(am layout.AddressMap, cfg mpsoc.Config, r *mpsoc.Runner) {
+	key := runnerKey{am, cfg}
 	runnerPool.Lock()
 	if runnerPool.n >= maxPooledRunners {
-		runnerPool.m = make(map[runnerKey][]pooledRunner)
+		runnerPool.m = make(map[runnerKey][]*mpsoc.Runner)
 		runnerPool.n = 0
 	}
-	runnerPool.m[key] = append(runnerPool.m[key], pooledRunner{r: r, g: g, am: am})
+	runnerPool.m[key] = append(runnerPool.m[key], r)
 	runnerPool.n++
 	runnerPool.Unlock()
 }
 
-// Mix and base-layout memoization. workload.Combine and layout.Pack are
-// pure functions of their (pointer-identified) inputs; repeated cells
-// over the same app set must receive the *same* graph, arrays, and base
-// layout so that the analysis cache and the runner pool key on stable
-// identities instead of rebuilding per cell.
+// Mix memoization. workload.Combine is a pure function of its
+// (pointer-identified) inputs; repeated cells over the same app set
+// receive the same merged graph and arrays instead of rebuilding and
+// re-fingerprinting them per cell.
 var mixCache = struct {
 	sync.Mutex
 	m map[string]*mixEntry
@@ -133,9 +97,10 @@ func mixKey(apps []*workload.App) string {
 	return b.String()
 }
 
-// cachedCombine returns the (possibly memoized) merged EPG and array
-// list for the app set.
-func cachedCombine(apps []*workload.App) (*taskgraph.Graph, []*prog.Array, error) {
+// CombineApps returns the (memoized) merged EPG and array list for an
+// ordered application set — the entry point the mix cells and the
+// serving layer use to resolve mix workloads onto the same graph objects.
+func CombineApps(apps []*workload.App) (*taskgraph.Graph, []*prog.Array, error) {
 	key := mixKey(apps)
 	mixCache.Lock()
 	e, ok := mixCache.m[key]
@@ -148,61 +113,13 @@ func cachedCombine(apps []*workload.App) (*taskgraph.Graph, []*prog.Array, error
 		return nil, nil, err
 	}
 	mixCache.Lock()
+	defer mixCache.Unlock()
 	if prior, ok := mixCache.m[key]; ok {
-		e = prior
-	} else {
-		if len(mixCache.m) >= maxMixEntries {
-			mixCache.m = make(map[string]*mixEntry)
-		}
-		e = &mixEntry{apps: append([]*workload.App(nil), apps...), epg: epg, arrays: arrays}
-		mixCache.m[key] = e
+		return prior.epg, prior.arrays, nil
 	}
-	mixCache.Unlock()
-	return e.epg, e.arrays, nil
-}
-
-var packCache = struct {
-	sync.Mutex
-	m map[string]*packEntry
-}{m: make(map[string]*packEntry)}
-
-type packEntry struct {
-	arrays []*prog.Array
-	base   *layout.Packed
-}
-
-const maxPackEntries = 64
-
-// cachedPack returns the (possibly memoized) packed base layout of the
-// array list under the alignment.
-func cachedPack(align int64, arrays []*prog.Array) (*layout.Packed, error) {
-	var b strings.Builder
-	b.Grow(16 + 20*len(arrays))
-	fmt.Fprintf(&b, "a%d;", align)
-	for _, arr := range arrays {
-		fmt.Fprintf(&b, "%p;", arr)
+	if len(mixCache.m) >= maxMixEntries {
+		mixCache.m = make(map[string]*mixEntry)
 	}
-	key := b.String()
-	packCache.Lock()
-	e, ok := packCache.m[key]
-	packCache.Unlock()
-	if ok {
-		return e.base, nil
-	}
-	base, err := layout.Pack(align, arrays...)
-	if err != nil {
-		return nil, err
-	}
-	packCache.Lock()
-	if prior, ok := packCache.m[key]; ok {
-		e = prior
-	} else {
-		if len(packCache.m) >= maxPackEntries {
-			packCache.m = make(map[string]*packEntry)
-		}
-		e = &packEntry{arrays: append([]*prog.Array(nil), arrays...), base: base}
-		packCache.m[key] = e
-	}
-	packCache.Unlock()
-	return e.base, nil
+	mixCache.m[key] = &mixEntry{apps: append([]*workload.App(nil), apps...), epg: epg, arrays: arrays}
+	return epg, arrays, nil
 }

@@ -8,16 +8,15 @@ import (
 	"locsched/internal/prog"
 	"locsched/internal/sched"
 	"locsched/internal/taskgraph"
-	"locsched/internal/workload"
 )
 
 // This file is the experiment package's serving surface: the exported
 // entry points internal/server builds its content-addressed request keys
 // and /statsz counters on. Everything here is a thin, stable veneer over
-// the content-addressing layer (fingerprint.go), the analysis cache
-// (analysis.go), and the runner pool (runnerpool.go) — the serving
-// daemon reuses the exact caches the CLI harness populates, so a figure
-// computed by one client warms every later request for the same content.
+// the workload families (family.go) and the runner pool (runnerpool.go,
+// which also holds CombineApps' mix memo) — the serving daemon reuses
+// the exact families the CLI harness populates, so a figure computed by
+// one client warms every later request for the same content.
 
 // ContentKey returns the content-addressed identity of a workload under
 // a packing alignment: the graph fingerprint (taskgraph.Content) joined
@@ -25,18 +24,18 @@ import (
 // return equal keys exactly when the simulated behaviour is equal for
 // equal machine/policy configurations, so the serving layer uses it as
 // the workload half of every request key. The workload is interned as a
-// side effect (see internWorkload), which is what makes a daemon's
-// repeated JSON loads land in the analysis cache and runner pool.
+// side effect (see internFamily), which is what makes a daemon's
+// repeated JSON loads land on one family and its pooled runners.
 func ContentKey(g *taskgraph.Graph, arrays []*prog.Array, align int64) (string, error) {
 	if align <= 0 {
 		return "", fmt.Errorf("experiment: alignment %d must be positive", align)
 	}
-	g, arrays = internWorkload(g, arrays)
-	base, err := cachedPack(align, arrays)
+	f := internFamily(g, arrays)
+	base, err := f.base(align)
 	if err != nil {
 		return "", err
 	}
-	return g.Fingerprint() + "+" + layoutFingerprint(base), nil
+	return f.g.Fingerprint() + "+" + base.fp, nil
 }
 
 // ConfigDigest returns a canonical digest of everything in a Config that
@@ -67,31 +66,22 @@ func ConfigDigest(cfg Config) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// CombineApps returns the (memoized) merged EPG and array list for an
-// ordered application set — the entry point the serving layer uses to
-// resolve mix workloads onto the same cached graph objects the figure
-// harnesses use.
-func CombineApps(apps []*workload.App) (*taskgraph.Graph, []*prog.Array, error) {
-	return cachedCombine(apps)
-}
-
 // AnalyzeLS returns the (cached) LS assignment for a workload on the
 // given core count, running only the scheduling analysis — sharing
 // matrix plus the Figure 3 greedy — with no simulation. The workload is
 // interned first so the result lands in (and is served from) the same
-// analysis cache the simulation path uses.
+// family the simulation path uses.
 func AnalyzeLS(g *taskgraph.Graph, arrays []*prog.Array, cores, workers int) (*sched.Assignment, error) {
 	if cores <= 0 {
 		return nil, fmt.Errorf("experiment: cores %d must be positive", cores)
 	}
-	g, _ = internWorkload(g, arrays)
 	// The analysis endpoint has no machine spec, so the schedule is the
 	// homogeneous (unbiased) one.
-	return cachedLS(g, cores, workers, "", nil)
+	return internFamily(g, arrays).localitySchedule(cores, workers, "", nil)
 }
 
-// CacheStats is a point-in-time snapshot of every content-addressed
-// cache the experiment layer maintains, exported for the serving
+// CacheStats is a point-in-time snapshot of the experiment layer's
+// family-table and runner-pool counters, exported for the serving
 // daemon's /statsz endpoint and for regression tests.
 type CacheStats struct {
 	// MatrixHits / MatrixMisses count sharing-matrix tier lookups.
@@ -100,7 +90,7 @@ type CacheStats struct {
 	LSHits, LSMisses int64
 	// LSMHits / LSMMisses count LSM-mapping tier lookups.
 	LSMHits, LSMMisses int64
-	// AnalysisEvictions counts coherent whole-cache evictions.
+	// AnalysisEvictions counts whole-table drops of the family table.
 	AnalysisEvictions int64
 	// RunnerPoolHits counts simulations served a pooled runner.
 	RunnerPoolHits int64
@@ -111,16 +101,11 @@ type CacheStats struct {
 
 // Stats snapshots the experiment-layer cache counters.
 func Stats() CacheStats {
-	st := analysisStatsSnapshot()
-	out := CacheStats{
-		MatrixHits: st.MatrixHits, MatrixMisses: st.MatrixMisses,
-		LSHits: st.LSHits, LSMisses: st.LSMisses,
-		LSMHits: st.LSMHits, LSMMisses: st.LSMMisses,
-		AnalysisEvictions: st.Evictions,
-		RunnerPoolHits:    runnerPoolHits(),
-	}
-	workloadIntern.Lock()
-	out.InternHits = workloadIntern.hits
-	workloadIntern.Unlock()
+	families.Lock()
+	out := families.stats
+	families.Unlock()
+	runnerPool.Lock()
+	out.RunnerPoolHits = runnerPool.hits
+	runnerPool.Unlock()
 	return out
 }

@@ -25,7 +25,7 @@ func TestARRZeroStrengthMatchesRRS(t *testing.T) {
 	}
 	for cfgName, cfg := range rleDiffConfigs() {
 		for engine, run := range map[string]func(*taskgraph.Graph, Dispatcher, layout.AddressMap, Config) (*Result, error){
-			"rle": Run, "flat": runFlat,
+			"rle": runOnce, "flat": runFlat,
 		} {
 			for _, app := range apps {
 				for amName, am := range rleDiffMaps(t, app, cfg.Cache) {
@@ -76,11 +76,11 @@ func TestARRWarmResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	const quantum = 2048
-	rrs, err := Run(epg, sched.MustRoundRobin(quantum), base, cfg)
+	rrs, err := runOnce(epg, sched.MustRoundRobin(quantum), base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := Run(epg, sched.MustAffinityRR(sched.AffinityConfig{
+	arr, err := runOnce(epg, sched.MustAffinityRR(sched.AffinityConfig{
 		Quantum: quantum, Window: 16,
 	}), base, cfg)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestAffinityCountersRunToCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(app.Graph, sched.NewRandom(7), base, cfg)
+	res, err := runOnce(app.Graph, sched.NewRandom(7), base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,16 +281,6 @@ func (r *Runner) RunParallel(d Dispatcher, workers int) (*Result, error) {
 	return s.run(exec)
 }
 
-// Run simulates the EPG under the dispatcher on the configured machine,
-// with array addresses taken from the address map.
-func Run(g *taskgraph.Graph, d Dispatcher, am layout.AddressMap, cfg Config) (*Result, error) {
-	r, err := NewRunner(g, am, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return r.Run(d)
-}
-
 // segTask is one dispatched segment. Result fields are written by
 // exactly one executor and read by the loop only after the task is
 // finished; each core owns one reusable slot (a core cannot dispatch

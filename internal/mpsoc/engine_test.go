@@ -74,6 +74,15 @@ func (neverDispatcher) Pick(int, int64) (taskgraph.ProcID, int64, bool) {
 	return taskgraph.ProcID{}, 0, false
 }
 
+// runOnce simulates the EPG under the dispatcher on a fresh Runner.
+func runOnce(g *taskgraph.Graph, d Dispatcher, am layout.AddressMap, cfg Config) (*Result, error) {
+	r, err := NewRunner(g, am, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.Run(d)
+}
+
 func testConfig(cores int) Config {
 	cfg := DefaultConfig()
 	cfg.Cores = cores
@@ -98,7 +107,7 @@ func TestExactCyclesAllMisses(t *testing.T) {
 	// Stride 8 elements = 32 bytes = one block per access: every access
 	// misses. cycles = n*(compute + hit + misspenalty).
 	g, am := singleProcGraph(t, 10, 8, 3)
-	res, err := Run(g, &fifoDispatcher{}, am, testConfig(1))
+	res, err := runOnce(g, &fifoDispatcher{}, am, testConfig(1))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -120,7 +129,7 @@ func TestExactCyclesAllMisses(t *testing.T) {
 func TestExactCyclesMostlyHits(t *testing.T) {
 	// Stride 0: all accesses hit the same block. 1 miss + 9 hits.
 	g, am := singleProcGraph(t, 10, 0, 3)
-	res, err := Run(g, &fifoDispatcher{}, am, testConfig(1))
+	res, err := runOnce(g, &fifoDispatcher{}, am, testConfig(1))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -150,7 +159,7 @@ func TestDependenceGatesExecution(t *testing.T) {
 	if err := g.AddDep(ids[0], ids[1]); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, &fifoDispatcher{}, layout.MustPack(32, arr), testConfig(4))
+	res, err := runOnce(g, &fifoDispatcher{}, layout.MustPack(32, arr), testConfig(4))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -194,11 +203,11 @@ func TestWarmCacheReuseSameCore(t *testing.T) {
 	p0 := taskgraph.ProcID{Task: 0, Idx: 0}
 	p1 := taskgraph.ProcID{Task: 0, Idx: 1}
 
-	sameCore, err := Run(g(), newPinned([][]taskgraph.ProcID{{p0, p1}, {}}), am, testConfig(2))
+	sameCore, err := runOnce(g(), newPinned([][]taskgraph.ProcID{{p0, p1}, {}}), am, testConfig(2))
 	if err != nil {
 		t.Fatalf("same-core run: %v", err)
 	}
-	diffCore, err := Run(g(), newPinned([][]taskgraph.ProcID{{p0}, {p1}}), am, testConfig(2))
+	diffCore, err := runOnce(g(), newPinned([][]taskgraph.ProcID{{p0}, {p1}}), am, testConfig(2))
 	if err != nil {
 		t.Fatalf("diff-core run: %v", err)
 	}
@@ -216,7 +225,7 @@ func TestWarmCacheReuseSameCore(t *testing.T) {
 func TestPreemptionAccounting(t *testing.T) {
 	g, am := singleProcGraph(t, 200, 8, 1)
 	// Quantum of 500 cycles: the ~15k-cycle process is preempted often.
-	res, err := Run(g, &fifoDispatcher{quantum: 500}, am, testConfig(1))
+	res, err := runOnce(g, &fifoDispatcher{quantum: 500}, am, testConfig(1))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -225,7 +234,7 @@ func TestPreemptionAccounting(t *testing.T) {
 	}
 	// On a single core with a single process, preemption must not change
 	// total busy cycles (same cache, same access order).
-	noPreempt, err := Run(g, &fifoDispatcher{}, am, testConfig(1))
+	noPreempt, err := runOnce(g, &fifoDispatcher{}, am, testConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +250,7 @@ func TestPreemptionAccounting(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	g, am := singleProcGraph(t, 10, 1, 0)
-	if _, err := Run(g, neverDispatcher{}, am, testConfig(1)); err == nil {
+	if _, err := runOnce(g, neverDispatcher{}, am, testConfig(1)); err == nil {
 		t.Error("policy that never dispatches should be reported as deadlock")
 	} else if !strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("error %q should mention deadlock", err)
@@ -252,14 +261,14 @@ func TestInvalidPicksRejected(t *testing.T) {
 	g, am := singleProcGraph(t, 10, 1, 0)
 	bogus := &fifoDispatcher{}
 	bogus.queue = []taskgraph.ProcID{{Task: 7, Idx: 7}}
-	if _, err := Run(g, bogus, am, testConfig(1)); err == nil {
+	if _, err := runOnce(g, bogus, am, testConfig(1)); err == nil {
 		t.Error("picking an unknown process should fail")
 	}
 }
 
 func TestEmptyGraphRejected(t *testing.T) {
 	_, am := singleProcGraph(t, 1, 1, 0)
-	if _, err := Run(taskgraph.New(), &fifoDispatcher{}, am, testConfig(1)); err == nil {
+	if _, err := runOnce(taskgraph.New(), &fifoDispatcher{}, am, testConfig(1)); err == nil {
 		t.Error("empty graph should fail")
 	}
 }
@@ -267,7 +276,7 @@ func TestEmptyGraphRejected(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	g, am := singleProcGraph(t, 10, 1, 0)
 	cfg := testConfig(0)
-	if _, err := Run(g, &fifoDispatcher{}, am, cfg); err == nil {
+	if _, err := runOnce(g, &fifoDispatcher{}, am, cfg); err == nil {
 		t.Error("zero cores should fail")
 	}
 }
@@ -291,7 +300,7 @@ func TestCyclicGraphRejected(t *testing.T) {
 	if err := g.AddDep(ids[1], ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(g, &fifoDispatcher{}, layout.MustPack(32, arr), testConfig(1)); err == nil {
+	if _, err := runOnce(g, &fifoDispatcher{}, layout.MustPack(32, arr), testConfig(1)); err == nil {
 		t.Error("cyclic graph should fail")
 	}
 }
@@ -313,13 +322,13 @@ func TestBusContentionSlowsMisses(t *testing.T) {
 	}
 	g1, am1 := build()
 	cfg := testConfig(2)
-	base, err := Run(g1, &fifoDispatcher{}, am1, cfg)
+	base, err := runOnce(g1, &fifoDispatcher{}, am1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g2, am2 := build()
 	cfg.BusFactor = 0.5
-	contended, err := Run(g2, &fifoDispatcher{}, am2, cfg)
+	contended, err := runOnce(g2, &fifoDispatcher{}, am2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +341,7 @@ func TestBusContentionSlowsMisses(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	mk := func() (*Result, error) {
 		g, am := singleProcGraph(t, 300, 4, 2)
-		return Run(g, &fifoDispatcher{quantum: 333}, am, testConfig(3))
+		return runOnce(g, &fifoDispatcher{quantum: 333}, am, testConfig(3))
 	}
 	a, err := mk()
 	if err != nil {

@@ -56,7 +56,7 @@ func TestEngineInvariantsRandomized(t *testing.T) {
 			quantum = int64(200 + rng.Intn(2000))
 		}
 		disp = &fifoDispatcher{quantum: quantum}
-		res, err := Run(g, disp, am, cfg)
+		res, err := runOnce(g, disp, am, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -133,12 +133,12 @@ func TestEngineColdStartMonotonicity(t *testing.T) {
 	// All four processes read the same 2KB: serial on one core, three of
 	// four runs are warm; on four cores all are cold.
 	g1, am1 := build()
-	one, err := Run(g1, &fifoDispatcher{}, am1, testConfig(1))
+	one, err := runOnce(g1, &fifoDispatcher{}, am1, testConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g4, am4 := build()
-	four, err := Run(g4, &fifoDispatcher{}, am4, testConfig(4))
+	four, err := runOnce(g4, &fifoDispatcher{}, am4, testConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,14 +209,14 @@ func TestHomogeneousMachineEquivalence(t *testing.T) {
 		for amName, am := range rleDiffMaps(t, app, cfg.Cache) {
 			for dName, mkDisp := range rleDiffDispatchers(t, app.Graph, cfg.Cores) {
 				t.Run(fmt.Sprintf("%s/%s/%s", app.Name, amName, dName), func(t *testing.T) {
-					base, err := Run(app.Graph, mkDisp(), am, cfg)
+					base, err := runOnce(app.Graph, mkDisp(), am, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for vName, m := range variants {
 						vcfg := cfg
 						vcfg.Machine = m
-						got, err := Run(app.Graph, mkDisp(), am, vcfg)
+						got, err := runOnce(app.Graph, mkDisp(), am, vcfg)
 						if err != nil {
 							t.Fatalf("%s: %v", vName, err)
 						}

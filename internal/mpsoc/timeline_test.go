@@ -27,7 +27,7 @@ func TestTimelineRecording(t *testing.T) {
 	}
 	cfg := testConfig(2)
 	cfg.RecordTimeline = true
-	res, err := Run(g, &fifoDispatcher{}, layout.MustPack(32, arr), cfg)
+	res, err := runOnce(g, &fifoDispatcher{}, layout.MustPack(32, arr), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTimelineRecording(t *testing.T) {
 
 func TestTimelineOffByDefault(t *testing.T) {
 	g, am := singleProcGraph(t, 10, 1, 0)
-	res, err := Run(g, &fifoDispatcher{}, am, testConfig(1))
+	res, err := runOnce(g, &fifoDispatcher{}, am, testConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestTimelinePreemptionSegments(t *testing.T) {
 	g, am := singleProcGraph(t, 200, 8, 1)
 	cfg := testConfig(1)
 	cfg.RecordTimeline = true
-	res, err := Run(g, &fifoDispatcher{quantum: 500}, am, cfg)
+	res, err := runOnce(g, &fifoDispatcher{quantum: 500}, am, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,16 @@ import (
 )
 
 // chainGraph builds two chains of different lengths plus a short job.
+
+// simulate runs the EPG under the dispatcher on a fresh mpsoc.Runner.
+func simulate(g *taskgraph.Graph, d mpsoc.Dispatcher, am layout.AddressMap, cfg mpsoc.Config) (*mpsoc.Result, error) {
+	r, err := mpsoc.NewRunner(g, am, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.Run(d)
+}
+
 func chainGraph(t *testing.T) (*taskgraph.Graph, layout.AddressMap) {
 	t.Helper()
 	arr := prog.MustArray("A", 4, 100000)
@@ -103,7 +113,7 @@ func TestBaselinesCompleteThroughEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mpsoc.Run(g, d, am, cfg)
+		res, err := simulate(g, d, am, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name(), err)
 		}

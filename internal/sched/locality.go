@@ -351,10 +351,10 @@ type MappingResult struct {
 // out into opposite cache-set banks, and the transformed address map is
 // returned for simulation.
 //
-// asg may carry a precomputed LS assignment for (g, cores) — callers with
-// a scheduling-analysis cache (experiment.cachedLS) pass theirs so LS+LSM
-// pipelines run LocalitySchedule once per (graph, cores) instead of once
-// per policy. When asg is nil it is computed here from m; when asg is
+// asg may carry a precomputed LS assignment for (g, cores) — callers
+// that memoize the analysis (experiment's workload families) pass theirs
+// so LS+LSM pipelines run LocalitySchedule once per (graph, cores)
+// instead of once per policy. When asg is nil it is computed here from m; when asg is
 // supplied, m is not consulted (the mapping phase depends only on the
 // assignment and the data spaces) and may be nil.
 func NewLSM(g *taskgraph.Graph, m *sharing.Matrix, asg *Assignment, cores int,

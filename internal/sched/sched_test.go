@@ -330,7 +330,7 @@ func TestLSRunsOnRandomDAGs(t *testing.T) {
 		}
 		cfg := mpsoc.DefaultConfig()
 		cfg.Cores = cores
-		res, err := mpsoc.Run(g, disp, layout.MustPack(32, arr), cfg)
+		res, err := simulate(g, disp, layout.MustPack(32, arr), cfg)
 		if err != nil {
 			t.Fatalf("trial %d: Run: %v", trial, err)
 		}
@@ -397,7 +397,7 @@ func TestLSMEliminatesConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsRes, err := mpsoc.Run(g, lsDisp, base, cfg)
+	lsRes, err := simulate(g, lsDisp, base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestLSMEliminatesConflicts(t *testing.T) {
 	if mapping.Banks[x] == mapping.Banks[y] {
 		t.Fatalf("X and Y must be in opposite banks: %v", mapping.Banks)
 	}
-	lsmRes, err := mpsoc.Run(g, lsmDisp, mapping.Layout, cfg)
+	lsmRes, err := simulate(g, lsmDisp, mapping.Layout, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestPoliciesCompleteEverything(t *testing.T) {
 	}
 	var accesses []int64
 	for _, r := range runs {
-		res, err := mpsoc.Run(g, r.d, r.am, cfg)
+		res, err := simulate(g, r.d, r.am, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", r.d.Name(), err)
 		}

@@ -209,7 +209,10 @@ type experimentPlanner struct {
 	mu        sync.Mutex
 	workloads map[string]*resolvedWorkload
 	figures   map[string]string // figure request identity → workload hash
-	flight    resolveFlight     // dedups concurrent cold resolutions
+	// flight dedups concurrent cold resolutions: they run on handler
+	// goroutines, ahead of the bounded job queue, so they must not
+	// multiply.
+	flight *coalescer[any]
 }
 
 // resolvedWorkload is one memoized workload resolution: the canonical
@@ -254,56 +257,6 @@ const (
 	maxReqXLPoints = 16
 )
 
-// resolveFlight is a keyed singleflight for plan-time resolution:
-// concurrent cold requests for the same identity build graphs and hash
-// content once, not once per request (resolution runs on handler
-// goroutines, ahead of the bounded job queue, so it must not multiply).
-type resolveFlight struct {
-	mu sync.Mutex
-	m  map[string]*resolveCall
-}
-
-// resolveCall is one pending resolution.
-type resolveCall struct {
-	done chan struct{}
-	val  any
-	err  error
-}
-
-// do returns the memoized-or-computed value for key, computing at most
-// once concurrently per key. Results are not retained here — the caller
-// owns memoization — so a failed compute is retried by the next caller.
-// A panicking compute is converted to an error and the entry is cleaned
-// up either way: a wedged key (done never closed, entry never deleted)
-// would block every future request for that identity forever.
-func (f *resolveFlight) do(key string, compute func() (any, error)) (any, error) {
-	f.mu.Lock()
-	if f.m == nil {
-		f.m = make(map[string]*resolveCall)
-	}
-	if c, ok := f.m[key]; ok {
-		f.mu.Unlock()
-		<-c.done
-		return c.val, c.err
-	}
-	c := &resolveCall{done: make(chan struct{})}
-	f.m[key] = c
-	f.mu.Unlock()
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				c.val, c.err = nil, fmt.Errorf("server: workload resolution panicked: %v", r)
-			}
-			f.mu.Lock()
-			delete(f.m, key)
-			f.mu.Unlock()
-			close(c.done)
-		}()
-		c.val, c.err = compute()
-	}()
-	return c.val, c.err
-}
-
 // newExperimentPlanner builds the production planner from the server
 // config: experiment defaults, the daemon's scale override, and
 // intra-request worker bound.
@@ -323,6 +276,7 @@ func newExperimentPlanner(cfg Config) *experimentPlanner {
 		expWorkers: workers,
 		workloads:  make(map[string]*resolvedWorkload),
 		figures:    make(map[string]string),
+		flight:     newCoalescer[any](),
 	}
 }
 

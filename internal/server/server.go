@@ -36,7 +36,7 @@ const ResultHeader = "X-Locsched-Result"
 // worker can attribute queue wait and execution to the right request.
 type task struct {
 	job      *Job
-	call     *call
+	call     *call[[]byte]
 	trace    *obs.Trace
 	enqueued time.Time
 }
@@ -50,7 +50,7 @@ type Server struct {
 	cfg     Config
 	planner Planner
 	cache   *resultCache
-	flight  *coalescer
+	flight  *coalescer[[]byte]
 	jobs    chan *task
 	stats   counters
 	started time.Time
@@ -104,7 +104,7 @@ func New(cfg Config, planner Planner) (*Server, error) {
 		cfg:      cfg,
 		planner:  planner,
 		cache:    newResultCache(cfg.CacheEntries, cfg.CacheBytes),
-		flight:   newCoalescer(),
+		flight:   newCoalescer[[]byte](),
 		jobs:     make(chan *task, cfg.QueueDepth),
 		started:  time.Now(),
 		draining: make(chan struct{}),
@@ -397,7 +397,7 @@ func (s *Server) keyedHandler(endpoint string) http.HandlerFunc {
 			case c.err != nil:
 				s.writeError(w, http.StatusInternalServerError, c.err)
 			default:
-				s.writeBody(w, served, c.body)
+				s.writeBody(w, served, c.val)
 			}
 		case <-ctx.Done():
 			// The execution (if any) continues and will populate the

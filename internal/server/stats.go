@@ -157,8 +157,8 @@ type StatsSnapshot struct {
 	// counters (peer_hits and peer_errors above are the request-path
 	// aggregates).
 	Fleet FleetSnapshot `json:"fleet"`
-	// Experiment snapshots the experiment layer's content-addressed
-	// caches (analysis tiers, runner pool, intern table).
+	// Experiment snapshots the experiment layer's counters (the workload
+	// family table's analysis tiers and interning, and the runner pool).
 	Experiment experiment.CacheStats `json:"experiment"`
 }
 
