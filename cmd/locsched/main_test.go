@@ -3,13 +3,19 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"locsched/internal/obs"
 	"locsched/internal/server"
 )
 
@@ -158,20 +164,73 @@ func TestAblateGolden(t *testing.T) {
 	}
 }
 
+// burstGate wraps the real planner so the bench's coalesce burst always
+// overlaps: the first /v1/run job that sets a quantum (only the burst
+// does) holds its execution until the daemon's /metricsz shows
+// followers coalesced requests, or 10 s pass. Without it the leader
+// can finish before the other burst requests reach the daemon.
+type burstGate struct {
+	server.Planner
+	followers  float64
+	metricsURL string
+	held       atomic.Bool
+}
+
+func (g *burstGate) Plan(endpoint string, body []byte) (*server.Job, error) {
+	job, err := g.Planner.Plan(endpoint, body)
+	var req server.RunRequest
+	if err != nil || endpoint != "run" || json.Unmarshal(body, &req) != nil || req.Config.Quantum == 0 {
+		return job, err
+	}
+	run := job.Run
+	job.Run = func() ([]byte, error) {
+		if g.held.CompareAndSwap(false, true) {
+			g.awaitFollowers()
+		}
+		return run()
+	}
+	return job, nil
+}
+
+func (g *burstGate) awaitFollowers() {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		resp, err := http.Get(g.metricsURL)
+		if err != nil {
+			continue
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		samples, perr := obs.ParseExposition(body)
+		if err != nil || perr != nil {
+			continue
+		}
+		for _, s := range samples {
+			if s.Name == "locsched_server_coalesced_total" && s.Value >= g.followers {
+				return
+			}
+		}
+	}
+}
+
 // TestBenchServe: `locsched bench -serve` end to end against an
 // in-process daemon running the real planner — the stream replays
 // without errors, the -expect-cache assertion (nonzero cache hits and
 // coalesces, read from the daemon's /metricsz deltas) holds, and the
-// report carries the server-side latency lines.
+// report carries the server-side latency lines. The planner is wrapped
+// in a burstGate so the coalesce burst overlaps on every run.
 func TestBenchServe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
 	}
-	srv, err := server.New(server.DefaultConfig(), nil)
+	const conc = 4
+	cfg := server.DefaultConfig()
+	gate := &burstGate{Planner: server.NewPlanner(cfg), followers: conc - 1}
+	srv, err := server.New(cfg, gate)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
+	gate.metricsURL = ts.URL + "/metricsz"
 	defer func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -181,7 +240,7 @@ func TestBenchServe(t *testing.T) {
 		}
 	}()
 	var stdout, stderr bytes.Buffer
-	args := []string{"bench", "-serve", ts.URL, "-conc", "4", "-requests", "60", "-scale", "1", "-expect-cache"}
+	args := []string{"bench", "-serve", ts.URL, "-conc", strconv.Itoa(conc), "-requests", "60", "-scale", "1", "-expect-cache"}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("run(%q) = %d; stderr: %s\nstdout: %s", args, code, stderr.String(), stdout.String())
 	}

@@ -18,7 +18,9 @@ func warm(c *Cache, span int64) {
 
 // TestAccessRWZeroAlloc asserts the acceptance criterion directly:
 // steady-state AccessRW allocates nothing, with and without
-// classification, across replacement policies and indexing schemes.
+// classification, across replacement policies and indexing schemes,
+// and a classifying cache's first touch of a block allocates only when
+// it opens a new cold-directory page.
 func TestAccessRWZeroAlloc(t *testing.T) {
 	const span = 64 << 10
 	cases := []struct {
@@ -45,6 +47,26 @@ func TestAccessRWZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+	// First touches: each run touches eight never-seen blocks 4097
+	// blocks apart, inside cold-directory pages allocated up front, so
+	// only the shadow index could allocate — and it is fixed at New.
+	t.Run("classified-first-touch", func(t *testing.T) {
+		const runs, perRun, stride = 200, 8, 4097
+		c := MustNew(benchGeom(), WithClassification())
+		for b := int64(0); b <= (runs+2)*perRun*stride; b += 1 << bitsPageShift {
+			c.Access(b * 32)
+		}
+		block := int64(1)
+		allocs := testing.AllocsPerRun(runs, func() {
+			for range perRun {
+				c.AccessRW(block*32, false)
+				block += stride
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("first-touch AccessRW allocates %.1f objects/op, want 0", allocs)
+		}
+	})
 }
 
 // BenchmarkCacheAccessHit measures the hit path: a footprint that fits

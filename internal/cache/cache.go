@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -163,11 +164,13 @@ func (w WritePolicy) String() string {
 // shadow directory for miss classification.
 //
 // The hot path is allocation-free in steady state: lines live in one flat
-// arena, the cold-miss directory is a paged bitset, and the shadow LRU is
-// an intrusive list over a preallocated node arena with a paged
-// block→slot index. Power-of-two geometries under modulo indexing take a
-// mask-based set-index fast path; other Indexing choices go through the
-// pluggable index func.
+// arena, the cold-miss directory is a paged bitset (the only structure
+// that grows, one page on first touch of a region), and the shadow LRU
+// is an intrusive list over a preallocated node arena with a chained
+// hash index sized by the line count when the cache is built.
+// Power-of-two geometries under modulo indexing take a mask-based
+// set-index fast path; other Indexing choices go through the pluggable
+// index func.
 type Cache struct {
 	geom        Geometry
 	repl        Replacement
@@ -477,73 +480,57 @@ func (p *pagedBits) clear() {
 	}
 }
 
-// pagedSlots is a sparse block→slot map with the same paging scheme;
-// absent entries read as -1.
-type pagedSlots struct {
-	pages [][]int32
-}
-
-const (
-	slotsPageShift = 12 // blocks per page (4096 × int32 = 16KB)
-	slotsPageMask  = 1<<slotsPageShift - 1
-)
-
-// get returns the slot of block, or -1.
-func (p *pagedSlots) get(block int64) int32 {
-	pg := int(block >> slotsPageShift)
-	if pg >= len(p.pages) || p.pages[pg] == nil {
-		return -1
-	}
-	return p.pages[pg][block&slotsPageMask]
-}
-
-// set records block → slot (slot -1 deletes).
-func (p *pagedSlots) set(block int64, slot int32) {
-	pg := int(block >> slotsPageShift)
-	if pg >= len(p.pages) {
-		if slot < 0 {
-			return
-		}
-		p.pages = append(p.pages, make([][]int32, pg+1-len(p.pages))...)
-	}
-	ents := p.pages[pg]
-	if ents == nil {
-		if slot < 0 {
-			return
-		}
-		ents = make([]int32, 1<<slotsPageShift)
-		for i := range ents {
-			ents[i] = -1
-		}
-		p.pages[pg] = ents
-	}
-	ents[block&slotsPageMask] = slot
-}
-
 // shadowLRU is a fully-associative LRU directory of block numbers used to
 // classify conflict vs. capacity misses (Hill & Smith's classical
 // scheme). Nodes live in a preallocated arena linked intrusively by
-// index; residency lookups go through a paged block→slot index. Accesses
-// allocate nothing once the touched pages exist.
+// index; residency lookups walk one chain of a chained hash index whose
+// bucket array (the next power of two ≥ 2 × capacity, so chains average
+// under one node) is sized when the directory is built. The directory
+// never allocates after construction, whatever the address range its
+// blocks come from, and LRU order never depends on the hash.
 type shadowLRU struct {
 	nodes      []shadowNode // arena; capacity = len(nodes)
 	used       int32        // nodes handed out so far (grows to capacity, then recycles)
 	head, tail int32        // MRU / LRU, -1 when empty
-	slots      pagedSlots
+	buckets    []int32      // hash chain heads, -1 when empty; len is a power of two
+	shift      uint         // 64 − log2(len(buckets)): the hash keeps the top bits
 }
 
 type shadowNode struct {
 	block      int64
-	prev, next int32
+	prev, next int32 // LRU list
+	hnext      int32 // next node in the block's hash chain, -1 at its end
 }
 
 func newShadowLRU(capacity int64) *shadowLRU {
-	return &shadowLRU{nodes: make([]shadowNode, capacity), head: -1, tail: -1}
+	shift := uint(bits.LeadingZeros64(uint64(2*capacity - 1))) // buckets: next 2^k ≥ 2 × capacity
+	s := &shadowLRU{nodes: make([]shadowNode, capacity), buckets: make([]int32, 1<<(64-shift)), shift: shift}
+	s.flush()
+	return s
+}
+
+// bucket returns the hash chain head for block (Fibonacci hashing: the
+// top bits of the product mix every bit of the block number).
+func (s *shadowLRU) bucket(block int64) *int32 {
+	return &s.buckets[uint64(block)*0x9e3779b97f4a7c15>>s.shift]
+}
+
+// find returns the node holding block (-1 if none) and its chain head.
+func (s *shadowLRU) find(block int64) (int32, *int32) {
+	h := s.bucket(block)
+	n := *h
+	for n >= 0 && s.nodes[n].block != block {
+		n = s.nodes[n].hnext
+	}
+	return n, h
 }
 
 // resident reports whether block is in the directory, without touching
 // recency.
-func (s *shadowLRU) resident(block int64) bool { return s.slots.get(block) >= 0 }
+func (s *shadowLRU) resident(block int64) bool {
+	n, _ := s.find(block)
+	return n >= 0
+}
 
 // mruPrefixIs reports whether the directory's most-recent entries are
 // exactly blocks[R-1], …, blocks[0] — the state one access pass over a
@@ -566,32 +553,37 @@ func (s *shadowLRU) mruPrefixIs(blocks []int64) bool {
 
 // access touches block, returns whether it was resident, and makes it MRU.
 func (s *shadowLRU) access(block int64) bool {
-	if n := s.slots.get(block); n >= 0 {
+	n, h := s.find(block)
+	if n >= 0 {
 		if n != s.head {
 			s.unlink(n)
 			s.pushFront(n)
 		}
 		return true
 	}
-	var n int32
 	if int(s.used) < len(s.nodes) {
 		n = s.used
 		s.used++
 	} else {
-		// Full: recycle the LRU tail.
+		// Full: recycle the LRU tail, unhashing its old block.
 		n = s.tail
 		s.unlink(n)
-		s.slots.set(s.nodes[n].block, -1)
+		p := s.bucket(s.nodes[n].block)
+		for *p != n {
+			p = &s.nodes[*p].hnext
+		}
+		*p = s.nodes[n].hnext
 	}
 	s.nodes[n].block = block
 	s.pushFront(n)
-	s.slots.set(block, n)
+	s.nodes[n].hnext = *h
+	*h = n
 	return false
 }
 
 func (s *shadowLRU) flush() {
-	for n := s.head; n >= 0; n = s.nodes[n].next {
-		s.slots.set(s.nodes[n].block, -1)
+	for i := range s.buckets {
+		s.buckets[i] = -1
 	}
 	s.head, s.tail = -1, -1
 	s.used = 0

@@ -190,6 +190,48 @@ func TestLSMReusesCachedAssignment(t *testing.T) {
 	resetCachesForTest()
 }
 
+// TestLSMNoMoveReusesBaseRunner: an LSM mapping that moved no array
+// hands the simulator the base layout itself, so the LSM cell takes the
+// runner an LS cell parked under that layout instead of building (and
+// parking) a second one for the same addresses.
+func TestLSMNoMoveReusesBaseRunner(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workload.Scale = 1
+	cfg.Workers = 1
+	apps, err := workload.BuildAll(cfg.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mxm *workload.App
+	for _, a := range apps {
+		if a.Name == "MxM" {
+			mxm = a
+		}
+	}
+	resetCachesForTest()
+	defer resetCachesForTest()
+	if _, err := RunApp(mxm, LS, cfg); err != nil {
+		t.Fatal(err)
+	}
+	hits := Stats().RunnerPoolHits
+	r, err := RunApp(mxm, LSM, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Relaid != 0 {
+		t.Fatalf("MxM's LSM mapping moved %d arrays; this test needs a mapping that moves none", r.Relaid)
+	}
+	if got := Stats().RunnerPoolHits; got != hits+1 {
+		t.Errorf("runner pool hits %d → %d, want +1 (the LSM cell must take the LS cell's runner)", hits, got)
+	}
+	runnerPool.Lock()
+	parked := runnerPool.n
+	runnerPool.Unlock()
+	if parked != 1 {
+		t.Errorf("%d runners parked after LS then LSM, want 1 (no runner built for the unmoved layout)", parked)
+	}
+}
+
 // TestFamilyTableEviction: one budget covers families and their derived
 // entries. At the budget the whole table drops, and AnalysisEvictions
 // counts it. A cell holding a dropped family finishes on it, but what it

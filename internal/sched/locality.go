@@ -329,16 +329,18 @@ type MappingResult struct {
 	Threshold int64
 	// Banks records the chosen half-page bank per re-laid-out array.
 	Banks map[*prog.Array]int64
-	// Layout is the transformed address map handed to the simulator.
-	Layout *layout.Relayouted
+	// Layout is the address map handed to the simulator: the re-laid-out
+	// map, or base itself when Banks is empty, so a mapping that moved
+	// nothing simulates on (and pools runners under) the base layout.
+	Layout layout.AddressMap
 	// PressureBefore and PressureAfter record the static thrash pressure
 	// of the base and final layouts.
 	PressureBefore int64
 	// PressureAfter is the final layout's pressure (see PressureBefore).
 	PressureAfter int64
 	// Verified reports whether the mapping achieved a strict improvement
-	// (otherwise Banks is empty and Layout behaves like the base layout —
-	// the mapping phase must never make things worse).
+	// (otherwise Banks is empty and Layout is the base layout — the
+	// mapping phase must never make things worse).
 	Verified bool
 }
 
@@ -412,16 +414,18 @@ func NewLSM(g *taskgraph.Graph, m *sharing.Matrix, asg *Assignment, cores int,
 	if err != nil {
 		return nil, nil, err
 	}
-	rl, err := layout.ApplyRelayout(base, geom, banks)
-	if err != nil {
-		return nil, nil, err
+	am := base
+	if len(banks) > 0 {
+		if am, err = layout.ApplyRelayout(base, geom, banks); err != nil {
+			return nil, nil, err
+		}
 	}
 	res := &MappingResult{
 		Assignment:     asg,
 		Conflicts:      cm,
 		Threshold:      threshold,
 		Banks:          banks,
-		Layout:         rl,
+		Layout:         am,
 		PressureBefore: pBefore,
 		PressureAfter:  pAfter,
 		Verified:       pAfter < pBefore,

@@ -36,7 +36,7 @@ type Job struct {
 
 // Planner turns a raw endpoint request body into a Job. Plan errors are
 // client errors (400); Run errors are execution failures (500). The
-// production planner is experimentPlanner; tests substitute scripted
+// production planner is NewPlanner's; tests substitute scripted
 // planners to drive the queue/coalescer/cache machinery directly.
 type Planner interface {
 	// Plan parses and resolves one request for the named endpoint
@@ -257,10 +257,11 @@ const (
 	maxReqXLPoints = 16
 )
 
-// newExperimentPlanner builds the production planner from the server
-// config: experiment defaults, the daemon's scale override, and
-// intra-request worker bound.
-func newExperimentPlanner(cfg Config) *experimentPlanner {
+// NewPlanner builds the production planner from the server config:
+// experiment defaults, the daemon's scale override, and intra-request
+// worker bound. New uses it when given no planner; callers that wrap
+// the real planner (to observe or gate its jobs) start from it.
+func NewPlanner(cfg Config) Planner {
 	base := experiment.DefaultConfig()
 	if cfg.Scale > 0 {
 		base.Workload.Scale = cfg.Scale

@@ -63,7 +63,7 @@ func TestRequestCapBoundaries(t *testing.T) {
 			return fmt.Sprintf(`{"figure":"fig7xl","scale":1,"xl_points":[%s]}`, xlPoints(v))
 		}, maxReqXLPoints, fmt.Sprintf("server: %d xl points exceed the service limit %d", maxReqXLPoints+1, maxReqXLPoints)},
 	}
-	p := newExperimentPlanner(DefaultConfig())
+	p := NewPlanner(DefaultConfig())
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			for _, v := range []int{c.cap - 1, c.cap} {

@@ -32,7 +32,7 @@ func FuzzTopologyDecode(f *testing.F) {
 	f.Add(" 2 , 3 ", "Bus", int64(7))
 	f.Add("9999999999999999999999", "ring\x00", int64(42))
 
-	planner := newExperimentPlanner(DefaultConfig())
+	planner := NewPlanner(DefaultConfig())
 	f.Fuzz(func(t *testing.T, speeds, topo string, hop int64) {
 		classes, err := mpsoc.ParseSpeedClasses(speeds)
 		if err == nil {

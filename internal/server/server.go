@@ -98,7 +98,7 @@ func New(cfg Config, planner Planner) (*Server, error) {
 		return nil, err
 	}
 	if planner == nil {
-		planner = newExperimentPlanner(cfg)
+		planner = NewPlanner(cfg)
 	}
 	s := &Server{
 		cfg:      cfg,
