@@ -18,7 +18,6 @@ var godocGatedFiles = []string{
 	"internal/mpsoc/parallel_engine.go",
 	"internal/experiment/topo.go",
 	"internal/trace/rle.go",
-	"internal/experiment/runnerpool.go",
 	"internal/experiment/fingerprint.go",
 	"internal/experiment/family.go",
 	"internal/experiment/serve.go",

@@ -420,7 +420,8 @@ func (c *Cache) Flush() {
 // Reset restores the cache to its just-built state — empty lines, zero
 // stats, reseeded replacement randomness, cleared shadow and cold-miss
 // directories — while keeping the backing storage allocated, so runners
-// can reuse one cache across simulations without reallocating.
+// can reuse one cache across simulations without reallocating. The one
+// exception is a cold-miss directory grown wide (see pagedBits.clear).
 func (c *Cache) Reset() {
 	for i := range c.lines {
 		c.lines[i] = line{}
@@ -471,8 +472,19 @@ func (p *pagedBits) testSet(block int64) bool {
 	return old
 }
 
-// clear zeroes every allocated page, keeping the storage.
+// maxKeptBitsPages bounds the page table clear keeps for reuse (256
+// entries cover 8M blocks, at most 1 MiB of pages).
+const maxKeptBitsPages = 256
+
+// clear empties the set. A page table of at most maxKeptBitsPages
+// entries keeps its storage and is zeroed; a longer one — left by a run
+// over a wide address range — is released, so a reused cache does not
+// hold memory in proportion to the highest block it ever saw.
 func (p *pagedBits) clear() {
+	if len(p.pages) > maxKeptBitsPages {
+		p.pages = nil
+		return
+	}
 	for _, words := range p.pages {
 		for i := range words {
 			words[i] = 0

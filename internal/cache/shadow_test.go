@@ -200,3 +200,38 @@ func TestShadowFixedAfterWideRun(t *testing.T) {
 			len(c.shadow.nodes), len(c.shadow.buckets), len(fresh.shadow.nodes), len(fresh.shadow.buckets))
 	}
 }
+
+// TestColdDirectoryReleasedAfterWideRun: the cold-miss directory's page
+// table grows to the highest block seen; after a run over a 1<<40-byte
+// range, Reset releases it (a narrow run's table is kept and zeroed),
+// and the reset cache classifies first touches as cold again.
+func TestColdDirectoryReleasedAfterWideRun(t *testing.T) {
+	geom := Geometry{Size: 4 << 10, BlockSize: 32, Assoc: 2}
+	c := MustNew(geom, WithClassification())
+	c.AccessRW(0, false)
+	c.AccessRW(1<<40, false)
+	if n := len(c.seen.pages); n <= maxKeptBitsPages {
+		t.Fatalf("wide run built a %d-entry page table; the test needs more than %d", n, maxKeptBitsPages)
+	}
+	c.Reset()
+	if n := len(c.seen.pages); n > maxKeptBitsPages {
+		t.Errorf("page table after Reset holds %d entries, want at most %d", n, maxKeptBitsPages)
+	}
+	c.AccessRW(1<<40, false)
+	if got := c.Stats().Cold; got != 1 {
+		t.Errorf("first touch after Reset: %d cold misses, want 1", got)
+	}
+
+	// A narrow run keeps its (zeroed) pages for reuse.
+	c = MustNew(geom, WithClassification())
+	c.AccessRW(0, false)
+	page := c.seen.pages[0]
+	c.Reset()
+	if len(c.seen.pages) != 1 || &c.seen.pages[0][0] != &page[0] {
+		t.Error("Reset dropped a narrow run's page instead of zeroing it")
+	}
+	c.AccessRW(0, false)
+	if got := c.Stats().Cold; got != 1 {
+		t.Errorf("first touch after a narrow Reset: %d cold misses, want 1", got)
+	}
+}

@@ -9,19 +9,40 @@ import (
 	"locsched/internal/workload"
 )
 
-// resetCachesForTest drops the family table, empties the runner pool and
-// zeroes every counter, so hit-pattern assertions see only the test's own
-// traffic.
+// resetCachesForTest drops the family table (its mix memo and parked
+// runners with it) and zeroes every counter, so hit-pattern assertions
+// see only the test's own traffic.
 func resetCachesForTest() {
 	families.Lock()
 	dropFamiliesLocked()
 	families.stats = CacheStats{}
 	families.Unlock()
-	runnerPool.Lock()
-	runnerPool.m = make(map[runnerKey][]*mpsoc.Runner)
-	runnerPool.n = 0
-	runnerPool.hits = 0
-	runnerPool.Unlock()
+}
+
+// dropFamiliesForTest drops the family table as the budget would,
+// leaving the counters alone.
+func dropFamiliesForTest() {
+	families.Lock()
+	dropFamiliesLocked()
+	families.Unlock()
+}
+
+// parkedRunners returns the number of runners parked across the table,
+// checking the table's count against its families' runner lists.
+func parkedRunners(t *testing.T) int {
+	t.Helper()
+	families.Lock()
+	defer families.Unlock()
+	n := 0
+	for _, f := range families.m {
+		for _, rs := range f.runners {
+			n += len(rs)
+		}
+	}
+	if n != families.parked {
+		t.Fatalf("families hold %d parked runners, the table counts %d", n, families.parked)
+	}
+	return n
 }
 
 // analysisStats is the analysis part of CacheStats: the per-tier hits
@@ -224,10 +245,7 @@ func TestLSMNoMoveReusesBaseRunner(t *testing.T) {
 	if got := Stats().RunnerPoolHits; got != hits+1 {
 		t.Errorf("runner pool hits %d → %d, want +1 (the LSM cell must take the LS cell's runner)", hits, got)
 	}
-	runnerPool.Lock()
-	parked := runnerPool.n
-	runnerPool.Unlock()
-	if parked != 1 {
+	if parked := parkedRunners(t); parked != 1 {
 		t.Errorf("%d runners parked after LS then LSM, want 1 (no runner built for the unmoved layout)", parked)
 	}
 }
@@ -314,7 +332,8 @@ func TestFamilyTableEviction(t *testing.T) {
 // TestConcurrentReloadsAcrossDrops: concurrent cells on content-equal
 // JSON reloads, with a budget small enough that the family table drops
 // while they run, produce exactly the sequential results. Under the race
-// detector this also covers the table, family maps and runner pool.
+// detector this also covers the table, family maps, mix memo and parked
+// runners.
 func TestConcurrentReloadsAcrossDrops(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Machine.Cores = 4
@@ -367,5 +386,115 @@ func TestConcurrentReloadsAcrossDrops(t *testing.T) {
 	wg.Wait()
 	if st := analysisStatsSnapshot(); st.Evictions == 0 {
 		t.Error("the family table never dropped; the test does not exercise drops mid-flight")
+	}
+}
+
+// loadReloadSpec decodes reloadSpec into fresh application objects.
+func loadReloadSpec(t *testing.T) []*workload.App {
+	t.Helper()
+	apps, err := workload.FromJSON(strings.NewReader(reloadSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return apps
+}
+
+// TestFamilyDropReleasesRunners: parked runners belong to their family,
+// so a table drop releases them. A reload of the same content after the
+// drop interns a fresh family, finds no runner to take, and parks
+// exactly one — none of the dropped family's runners lingers beside it.
+func TestFamilyDropReleasesRunners(t *testing.T) {
+	resetCachesForTest()
+	defer resetCachesForTest()
+	cfg := DefaultConfig()
+	cfg.Machine.Cores = 4
+
+	want, err := RunMix(loadReloadSpec(t), LS, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := parkedRunners(t); n != 1 {
+		t.Fatalf("%d runners parked after one cell, want 1", n)
+	}
+	dropFamiliesForTest()
+	if n := parkedRunners(t); n != 0 {
+		t.Errorf("%d runners still parked after the table drop, want 0", n)
+	}
+
+	hits := Stats().RunnerPoolHits
+	got, err := RunMix(loadReloadSpec(t), LS, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := Stats().RunnerPoolHits; h != hits {
+		t.Errorf("reload after the drop took %d parked runners, want 0 (its family is fresh)", h-hits)
+	}
+	if n := parkedRunners(t); n != 1 {
+		t.Errorf("%d runners parked after the reload, want 1", n)
+	}
+	if *got != *want {
+		t.Errorf("reload after the drop: %+v, want %+v", got, want)
+	}
+}
+
+// TestCombineAppsDropsWithFamilies: the mix memo maps an app set to the
+// family of its merged graph, costs one entry of the table's budget and
+// is dropped with the table. After a drop, CombineApps over the same app
+// set returns the canonical objects of the family its content interns
+// onto now, never the dropped family's, and mix cells are unchanged.
+func TestCombineAppsDropsWithFamilies(t *testing.T) {
+	resetCachesForTest()
+	defer resetCachesForTest()
+	cfg := DefaultConfig()
+	cfg.Machine.Cores = 4
+	apps := loadReloadSpec(t)
+
+	g1, _, err := CombineApps(apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	families.Lock()
+	n := families.n
+	families.Unlock()
+	if n != 2 {
+		t.Errorf("table charges %d entries after one CombineApps, want 2 (the family and the mix)", n)
+	}
+	if g, _, err := CombineApps(apps); err != nil || g != g1 {
+		t.Fatalf("repeat CombineApps returned a different graph (err %v)", err)
+	}
+	want, err := RunMix(apps, LS, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dropFamiliesForTest()
+	// A content-equal merged graph interned first after the drop becomes
+	// the content's canonical object.
+	epg, arrays, err := workload.Combine(apps...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon := internFamily(epg, arrays)
+	g2, a2, err := CombineApps(apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2 == g1 {
+		t.Fatal("CombineApps returned the dropped family's graph")
+	}
+	if g2 != canon.g || len(a2) != len(canon.arrays) {
+		t.Fatal("CombineApps did not return the live family's canonical objects")
+	}
+	for i := range a2 {
+		if a2[i] != canon.arrays[i] {
+			t.Fatalf("array %d is not the live family's canonical array", i)
+		}
+	}
+	got, err := RunMix(apps, LS, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != *want {
+		t.Errorf("mix cell after the drop: %+v, want %+v", got, want)
 	}
 }

@@ -173,9 +173,9 @@ func (r *RunResult) MissRate() float64 {
 // interned onto its content family (internFamily), so content-equal
 // graphs arriving as fresh objects — JSON reloads, rebuilt mixes —
 // share the family's base layouts and scheduling analysis, and the
-// per-run machinery (per-core caches, trace cursors) is drawn from a
-// pool keyed on the (layout, machine) pair, so repeated cells —
-// policies, sweep points, benchmark iterations, reloads — pay
+// per-run machinery (per-core caches, compiled trace streams) is a
+// runner parked on the family per (layout, machine) pair, so repeated
+// cells — policies, sweep points, benchmark iterations, reloads — pay
 // construction once.
 func RunGraph(name string, g *taskgraph.Graph, arrays []*prog.Array, policy Policy, cfg Config) (*RunResult, error) {
 	return runCell(name, g, arrays, policy, cfg, sched.StealWhenIdle)
@@ -257,7 +257,7 @@ func runCell(name string, g *taskgraph.Graph, arrays []*prog.Array, policy Polic
 		return nil, fmt.Errorf("experiment: unknown policy %q", policy)
 	}
 
-	runner, err := takeRunner(f, am, cfg.Machine)
+	runner, err := f.takeRunner(am, cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +265,7 @@ func runCell(name string, g *taskgraph.Graph, arrays []*prog.Array, policy Polic
 	if err != nil {
 		return nil, err
 	}
-	putRunner(am, cfg.Machine, runner)
+	f.putRunner(am, cfg.Machine, runner)
 	out := &RunResult{
 		Workload:      name,
 		Policy:        policy,
@@ -292,7 +292,7 @@ func RunApp(app *workload.App, policy Policy, cfg Config) (*RunResult, error) {
 
 // RunMix simulates several applications concurrently (Figure 7 cells).
 // The merged EPG is memoized per app set, so every cell over the same
-// mix shares one graph — and with it one family and its pooled runners.
+// mix shares one graph — and with it one family and its parked runners.
 func RunMix(apps []*workload.App, policy Policy, cfg Config) (*RunResult, error) {
 	epg, arrays, err := CombineApps(apps)
 	if err != nil {

@@ -13,10 +13,10 @@ import (
 // This file is the experiment package's serving surface: the exported
 // entry points internal/server builds its content-addressed request keys
 // and /statsz counters on. Everything here is a thin, stable veneer over
-// the workload families (family.go) and the runner pool (runnerpool.go,
-// which also holds CombineApps' mix memo) — the serving daemon reuses
-// the exact families the CLI harness populates, so a figure computed by
-// one client warms every later request for the same content.
+// the workload family table (family.go, which also holds CombineApps'
+// mix memo and the parked runners) — the serving daemon reuses the exact
+// families the CLI harness populates, so a figure computed by one client
+// warms every later request for the same content.
 
 // ContentKey returns the content-addressed identity of a workload under
 // a packing alignment: the graph fingerprint (taskgraph.Content) joined
@@ -25,7 +25,7 @@ import (
 // equal machine/policy configurations, so the serving layer uses it as
 // the workload half of every request key. The workload is interned as a
 // side effect (see internFamily), which is what makes a daemon's
-// repeated JSON loads land on one family and its pooled runners.
+// repeated JSON loads land on one family and its parked runners.
 func ContentKey(g *taskgraph.Graph, arrays []*prog.Array, align int64) (string, error) {
 	if align <= 0 {
 		return "", fmt.Errorf("experiment: alignment %d must be positive", align)
@@ -81,8 +81,9 @@ func AnalyzeLS(g *taskgraph.Graph, arrays []*prog.Array, cores, workers int) (*s
 }
 
 // CacheStats is a point-in-time snapshot of the experiment layer's
-// family-table and runner-pool counters, exported for the serving
-// daemon's /statsz endpoint and for regression tests.
+// family-table counters (analysis tiers, interning, parked runners),
+// exported for the serving daemon's /statsz endpoint and for regression
+// tests.
 type CacheStats struct {
 	// MatrixHits / MatrixMisses count sharing-matrix tier lookups.
 	MatrixHits, MatrixMisses int64
@@ -92,7 +93,8 @@ type CacheStats struct {
 	LSMHits, LSMMisses int64
 	// AnalysisEvictions counts whole-table drops of the family table.
 	AnalysisEvictions int64
-	// RunnerPoolHits counts simulations served a pooled runner.
+	// RunnerPoolHits counts simulations served a runner parked by an
+	// earlier cell.
 	RunnerPoolHits int64
 	// InternHits counts content-equal workloads swapped for an already
 	// canonical object family.
@@ -102,10 +104,6 @@ type CacheStats struct {
 // Stats snapshots the experiment-layer cache counters.
 func Stats() CacheStats {
 	families.Lock()
-	out := families.stats
-	families.Unlock()
-	runnerPool.Lock()
-	out.RunnerPoolHits = runnerPool.hits
-	runnerPool.Unlock()
-	return out
+	defer families.Unlock()
+	return families.stats
 }

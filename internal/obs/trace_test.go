@@ -26,14 +26,14 @@ func TestNewTraceIDUniqueAndValid(t *testing.T) {
 
 func TestValidTraceID(t *testing.T) {
 	cases := map[string]bool{
-		"abc123-00000001": true,
-		"ABCDEF":          true,
-		"":                false,
+		"abc123-00000001":       true,
+		"ABCDEF":                true,
+		"":                      false,
 		strings.Repeat("a", 64): true,
 		strings.Repeat("a", 65): false,
-		"abc\ndef":             false,
-		`abc"def`:              false,
-		"hello world":          false,
+		"abc\ndef":              false,
+		`abc"def`:               false,
+		"hello world":           false,
 	}
 	for id, want := range cases {
 		if got := ValidTraceID(id); got != want {

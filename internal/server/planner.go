@@ -625,14 +625,14 @@ func (p *experimentPlanner) planFigure(body []byte) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func() (io.WriterTo, error) {
+	run := func() (*experiment.Table, error) {
 		switch req.Figure {
 		case "fig6":
-			return tableWriter(experiment.Figure6(cfg, policies))
+			return experiment.Figure6(cfg, policies)
 		case "fig7":
-			return tableWriter(experiment.Figure7(cfg, policies))
+			return experiment.Figure7(cfg, policies)
 		default:
-			return tableWriter(experiment.Figure7XL(cfg, points, policies))
+			return experiment.Figure7XL(cfg, points, policies)
 		}
 	}
 
@@ -646,12 +646,12 @@ func (p *experimentPlanner) planFigure(body []byte) (*Job, error) {
 		Key:      key,
 		Deadline: deadline,
 		Run: func() ([]byte, error) {
-			wt, err := run()
+			tab, err := run()
 			if err != nil {
 				return nil, err
 			}
 			var buf bytes.Buffer
-			if _, err := wt.WriteTo(&buf); err != nil {
+			if err := experiment.WriteJSON(&buf, tab); err != nil {
 				return nil, err
 			}
 			return buf.Bytes(), nil
@@ -705,39 +705,6 @@ func (p *experimentPlanner) figureWorkloadHash(figure string, params workload.Pa
 		return "", err
 	}
 	return v.(string), nil
-}
-
-// tableWriter adapts a figure result to a deferred JSON serializer.
-func tableWriter(t *experiment.Table, err error) (io.WriterTo, error) {
-	if err != nil {
-		return nil, err
-	}
-	return writerToFunc(func(w io.Writer) (int64, error) {
-		cw := &countingWriter{w: w}
-		if err := experiment.WriteJSON(cw, t); err != nil {
-			return cw.n, err
-		}
-		return cw.n, nil
-	}), nil
-}
-
-// writerToFunc adapts a function to io.WriterTo.
-type writerToFunc func(io.Writer) (int64, error)
-
-// WriteTo implements io.WriterTo.
-func (f writerToFunc) WriteTo(w io.Writer) (int64, error) { return f(w) }
-
-// countingWriter counts bytes written through it.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-// Write implements io.Writer.
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // planAnalysis resolves a /v1/analysis request.

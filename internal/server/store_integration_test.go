@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"locsched/internal/obs"
 	"locsched/internal/store"
 )
 
@@ -110,11 +111,15 @@ func TestWarmRestartFromDisk(t *testing.T) {
 func TestStoreFaultsDegradeNotFail(t *testing.T) {
 	dir := t.TempDir()
 	ffs := store.NewFaultFS(store.OSFS{})
+	// The injected store publishes its series on a registry of its own
+	// (the daemon registers them only on a store it opened itself).
+	reg := obs.NewRegistry()
 	st, err := store.Open(dir, store.Options{
 		FS:               ffs,
 		RetryBase:        time.Millisecond,
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour, // stays open for the test's lifetime
+		Metrics:          reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +179,35 @@ func TestStoreFaultsDegradeNotFail(t *testing.T) {
 	}
 	if v := metricValue(scrapeMetricsz(t, ts.URL), "locsched_store_degraded", "", ""); v != 1 {
 		t.Fatalf("locsched_store_degraded = %v, want 1", v)
+	}
+
+	// With the breaker open the next write is dropped. Both surfaces
+	// report every failure counter, with equal values.
+	if resp, _ := postBody(t, ts.URL+"/v1/run", `{"h":3}`); resp.StatusCode != 200 {
+		t.Fatalf("request with the breaker open: %d", resp.StatusCode)
+	}
+	var text bytes.Buffer
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ParseExposition(text.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := getStats(t, ts.URL).Store.Store
+	if ss.WriteErrors == 0 || ss.DroppedWrites == 0 {
+		t.Fatalf("faults not counted on /statsz: %+v", ss)
+	}
+	for name, want := range map[string]int64{
+		"locsched_store_write_errors_total":     ss.WriteErrors,
+		"locsched_store_dropped_writes_total":   ss.DroppedWrites,
+		"locsched_store_read_errors_total":      ss.ReadErrors,
+		"locsched_store_op_timeouts_total":      ss.OpTimeouts,
+		"locsched_store_evicted_segments_total": ss.EvictedSegments,
+	} {
+		if got := metricValue(samples, name, "", ""); got != float64(want) {
+			t.Errorf("%s = %v in the metrics exposition, /statsz says %d", name, got, want)
+		}
 	}
 }
 

@@ -392,6 +392,21 @@ func (s *Store) registerMetrics(r *obs.Registry) {
 	r.CounterFunc("locsched_store_retries_total",
 		"Re-attempted I/O operations.",
 		func() float64 { return float64(s.c.retries.Load()) })
+	r.CounterFunc("locsched_store_write_errors_total",
+		"Appends that failed after all retries.",
+		func() float64 { return float64(s.c.writeErrors.Load()) })
+	r.CounterFunc("locsched_store_dropped_writes_total",
+		"Writes skipped while the circuit breaker was open.",
+		func() float64 { return float64(s.c.droppedWrites.Load()) })
+	r.CounterFunc("locsched_store_read_errors_total",
+		"Reads that failed after all retries.",
+		func() float64 { return float64(s.c.readErrors.Load()) })
+	r.CounterFunc("locsched_store_op_timeouts_total",
+		"Operation attempts abandoned at the per-operation timeout.",
+		func() float64 { return float64(s.c.opTimeouts.Load()) })
+	r.CounterFunc("locsched_store_evicted_segments_total",
+		"Whole segments evicted by the byte budget.",
+		func() float64 { return float64(s.c.evicted.Load()) })
 }
 
 // observeOp records one operation latency on h; nil h (metrics disabled)

@@ -18,10 +18,9 @@ func benchSpec() (*prog.ProcessSpec, layout.AddressMap) {
 }
 
 // BenchmarkTraceCompileRLE measures compiling one (spec, address map)
-// pair into the strided run-length encoding, bypassing the caches, and
-// reports its resident bytes next to those of the same trace
-// materialized access by access (the stream-memory reduction the
-// encoding buys).
+// pair into the strided run-length encoding, and reports its resident
+// bytes next to those of the same trace materialized access by access
+// (the stream-memory reduction the encoding buys).
 func BenchmarkTraceCompileRLE(b *testing.B) {
 	spec, am := benchSpec()
 	var s *RLEStream
@@ -36,23 +35,6 @@ func BenchmarkTraceCompileRLE(b *testing.B) {
 	b.ReportMetric(float64(s.Len()), "accesses")
 	b.ReportMetric(float64(flatBytes(s)), "flat_bytes")
 	b.ReportMetric(float64(s.MemBytes()), "rle_bytes")
-}
-
-// BenchmarkTraceCompileRLECached measures the cross-run path: the
-// encoding is already in the package cache, so a fresh generator only
-// pays the signature lookup.
-func BenchmarkTraceCompileRLECached(b *testing.B) {
-	spec, am := benchSpec()
-	if _, err := NewGenerator(am).RLE(spec); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewGenerator(am).RLE(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkRLECursorNext measures per-access consumption of the encoded

@@ -88,34 +88,9 @@ func (s *RLEStream) MemBytes() int64 {
 		int64(len(s.flags))
 }
 
-// rleCache shares compiled RLE streams across generators and runs,
-// keyed by spec and address signature.
-var rleCache boundedCache
-
-// RLE returns the strided run-length encoding of the spec's stream,
-// compiling it on first use. Compiled encodings are shared across
-// generators and runs when the address map states its addressing in
-// closed form.
+// RLE compiles the strided run-length encoding of the spec's stream.
 func (g *Generator) RLE(spec *prog.ProcessSpec) (*RLEStream, error) {
-	if s, ok := g.rles[spec]; ok {
-		return s, nil
-	}
-	sig, keyed := addrSignature(spec, g.am)
-	if keyed {
-		if s, ok := rleCache.lookup(streamKey{spec, sig}); ok {
-			g.rles[spec] = s
-			return s, nil
-		}
-	}
-	s, err := compileRLE(spec, g.am)
-	if err != nil {
-		return nil, err
-	}
-	if keyed {
-		s = rleCache.add(streamKey{spec, sig}, s)
-	}
-	g.rles[spec] = s
-	return s, nil
+	return compileRLE(spec, g.am)
 }
 
 // compileRLE cuts the spec's address stream into constant-delta
