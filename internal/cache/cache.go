@@ -172,21 +172,21 @@ func (w WritePolicy) String() string {
 // set-index fast path; other Indexing choices go through the pluggable
 // index func.
 type Cache struct {
-	geom        Geometry
-	repl        Replacement
-	lines       []line // numSets × assoc, set s at lines[s*assoc : (s+1)*assoc]
-	assoc       int
-	tick        int64
-	stats       Stats
-	rng         *rand.Rand
-	seed        int64
-	shadow      *shadowLRU
-	seen        *pagedBits              // blocks ever referenced, for cold-miss detection
-	index       func(block int64) int64 // block → set mapping (see Indexing)
-	setMask     int64                   // ≥0: set = block & setMask (pow-2 modulo fast path)
-	blockShift  uint                    // >0: block = addr >> blockShift (pow-2 block size)
-	write       WritePolicy
-	lineScratch []int64 // reused by TryAccessHitIters
+	geom       Geometry
+	repl       Replacement
+	lines      []line // numSets × assoc, set s at lines[s*assoc : (s+1)*assoc]
+	assoc      int
+	tick       int64
+	stats      Stats
+	rng        *rand.Rand
+	seed       int64
+	shadow     *shadowLRU
+	seen       *pagedBits              // blocks ever referenced, for cold-miss detection
+	index      func(block int64) int64 // block → set mapping (see Indexing)
+	setMask    int64                   // ≥0: set = block & setMask (pow-2 modulo fast path)
+	blockShift uint                    // >0: block = addr >> blockShift (pow-2 block size)
+	write      WritePolicy
+	last       int64 // index into lines of the line the latest AccessRW hit or filled
 }
 
 // blockOf returns the block number of addr via the shift fast path when
@@ -196,6 +196,19 @@ func (c *Cache) blockOf(addr int64) int64 {
 		return addr >> c.blockShift
 	}
 	return addr / c.geom.BlockSize
+}
+
+// BlockOf returns the number of the block holding addr, by the rule
+// every access uses.
+func (c *Cache) BlockOf(addr int64) int64 { return c.blockOf(addr) }
+
+// BlockOffset returns addr's byte offset within its block, consistent
+// with BlockOf.
+func (c *Cache) BlockOffset(addr int64) int64 {
+	if c.blockShift > 0 {
+		return addr & (c.geom.BlockSize - 1)
+	}
+	return addr % c.geom.BlockSize
 }
 
 // setIndex returns the set of a block via the mask fast path when the
@@ -319,6 +332,7 @@ func (c *Cache) AccessRW(addr int64, write bool) (class MissClass, wroteBack boo
 				set[i].dirty = true
 			}
 			c.stats.Hits++
+			c.last = base + int64(i)
 			return Hit, false
 		}
 	}
@@ -364,6 +378,7 @@ func (c *Cache) AccessRW(addr int64, write bool) (class MissClass, wroteBack boo
 		used:  c.tick,
 		dirty: write && c.write == WriteBack,
 	}
+	c.last = base + int64(victim)
 
 	// Without WithClassification every miss is reported as capacity; with
 	// it, first-touch misses are cold and shadow hits are conflicts.
@@ -387,6 +402,10 @@ func (c *Cache) AccessRW(addr int64, write bool) (class MissClass, wroteBack boo
 	}
 	return class, wroteBack
 }
+
+// LastLine returns the line the latest AccessRW hit or filled, as a
+// hint for TryAccessHitIters.
+func (c *Cache) LastLine() int64 { return c.last }
 
 // Contains reports whether the block holding addr is resident (without
 // touching stats or recency).

@@ -34,7 +34,7 @@ func (c *Cache) AccessRun(addr int64, count int64, write bool) (class MissClass,
 	class, wroteBack = c.AccessRW(addr, write)
 	if count > 1 {
 		n := count - 1
-		li := c.findLine(c.blockOf(addr))
+		li := c.last
 		c.tick += n
 		if c.repl == LRU {
 			c.lines[li].used = c.tick
@@ -59,39 +59,62 @@ func (c *Cache) AccessRun(addr int64, count int64, write bool) (class MissClass,
 // is not resident the cache is left untouched and the caller must
 // simulate per access.
 //
+// lines[j] is a hint: the index of the line holding blocks[j] (as
+// LastLine reported it when the caller last touched the block), or -1
+// when unknown. A hint whose line still holds its block spares the set
+// scan; any other is resolved by the scan, and lines is left holding
+// every resolved index. When the shadow's most recent entries already
+// are the group in touch order, every block is shadow-resident and the
+// per-block shadow probe is skipped too.
+//
 // blocks may contain duplicates (two references in one block); the later
 // reference's recency wins, exactly as per-access simulation would have
 // it.
-func (c *Cache) TryAccessHitIters(blocks []int64, writes []bool, iters int64) bool {
+func (c *Cache) TryAccessHitIters(blocks, lines []int64, writes []bool, iters int64) bool {
 	r := len(blocks)
 	if iters <= 0 || r == 0 {
 		return true
 	}
-	if cap(c.lineScratch) < r {
-		c.lineScratch = make([]int64, r)
-	}
-	scratch := c.lineScratch[:r]
 	for j, b := range blocks {
+		if li := lines[j]; li >= 0 && c.lines[li].valid && c.lines[li].tag == b {
+			continue
+		}
 		li := c.findLine(b)
 		if li < 0 {
 			return false
 		}
-		// With classification on, the block must also be resident in the
-		// fully-associative shadow: a block can survive in its set while
-		// the shadow's global LRU has evicted it, and per-access replay
-		// would then re-insert it (evicting the shadow tail). One
-		// per-access iteration re-establishes shadow residency, so the
-		// caller's next attempt succeeds.
-		if c.shadow != nil && !c.shadow.resident(b) {
-			return false
+		lines[j] = li
+	}
+	// With classification on, every block must also be resident in the
+	// fully-associative shadow: a block can survive in its set while the
+	// shadow's global LRU has evicted it, and per-access replay would
+	// then re-insert it (evicting the shadow tail). One per-access
+	// iteration re-establishes shadow residency, so the caller's next
+	// attempt succeeds.
+	//
+	// Per-access simulation would move each block to shadow-MRU every
+	// iteration, leaving the group in touch order at the top after each
+	// full iteration — so one replay pass equals iters passes. The pass
+	// cannot blindly be skipped: the caller may arrive with a
+	// partially-replayed iteration's order (e.g. after a process resumed
+	// mid-iteration on this core), and the bulk update must end in the
+	// exact state per-access simulation would reach. It can be skipped
+	// exactly when the MRU prefix already equals the replay's final
+	// order (mruPrefixIs), which is the steady state of consecutive
+	// spans over the same group.
+	replay := c.shadow != nil && !c.shadow.mruPrefixIs(blocks)
+	if replay {
+		for _, b := range blocks {
+			if !c.shadow.resident(b) {
+				return false
+			}
 		}
-		scratch[j] = li
 	}
 	total := iters * int64(r)
 	final := c.tick + total
 	markDirty := c.write == WriteBack
-	for j := range scratch {
-		ln := &c.lines[scratch[j]]
+	for j, li := range lines[:r] {
+		ln := &c.lines[li]
 		if c.repl == LRU {
 			ln.used = final - int64(r-1-j)
 		}
@@ -99,18 +122,7 @@ func (c *Cache) TryAccessHitIters(blocks []int64, writes []bool, iters int64) bo
 			ln.dirty = true
 		}
 	}
-	if c.shadow != nil && !c.shadow.mruPrefixIs(blocks) {
-		// Replay one iteration's worth of shadow touches. Per-access
-		// simulation would move each block to shadow-MRU every iteration,
-		// leaving the group in touch order at the top after each full
-		// iteration — so one pass equals iters passes. The pass cannot
-		// blindly be skipped: the caller may arrive with a
-		// partially-replayed iteration's order (e.g. after a process
-		// resumed mid-iteration on this core), and the bulk update must
-		// end in the exact state per-access simulation would reach. It
-		// can be skipped exactly when the MRU prefix already equals the
-		// replay's final order (mruPrefixIs), which is the steady state
-		// of consecutive spans over the same group.
+	if replay {
 		for _, b := range blocks {
 			c.shadow.access(b)
 		}

@@ -75,8 +75,9 @@ func TestAccessRunMatchesPerAccess(t *testing.T) {
 
 // TestTryAccessHitItersMatchesPerAccess: a successful fast-forward is
 // indistinguishable from per-access replay of the same iterations, under
-// random interleaved traffic, mixed residency (forcing refusals), and
-// duplicate blocks within a group.
+// random interleaved traffic, mixed residency (forcing refusals),
+// duplicate blocks within a group, and line hints that are right, stale
+// (a later touch evicted the line), arbitrary or unknown.
 func TestTryAccessHitItersMatchesPerAccess(t *testing.T) {
 	geom := Geometry{Size: 1 << 10, BlockSize: 32, Assoc: 2}
 	for name, opts := range runsTestOptions() {
@@ -98,24 +99,35 @@ func TestTryAccessHitItersMatchesPerAccess(t *testing.T) {
 				// duplicate.
 				r := rng.Intn(4) + 1
 				blocks := make([]int64, r)
+				lines := make([]int64, r)
 				writes := make([]bool, r)
 				for j := range blocks {
 					b := int64(rng.Intn(1 << 9))
+					lines[j] = -1
 					if rng.Intn(3) > 0 {
 						// Touch it so it's resident on both caches.
 						bulk.AccessRW(b*32, false)
 						ref.AccessRW(b*32, false)
+						lines[j] = bulk.LastLine()
 					}
 					if j > 0 && rng.Intn(5) == 0 {
-						b = blocks[j-1]
+						b, lines[j] = blocks[j-1], lines[j-1]
+					}
+					if rng.Intn(6) == 0 {
+						lines[j] = int64(rng.Intn(len(bulk.lines)))
 					}
 					blocks[j] = b
 					writes[j] = rng.Intn(3) == 0
 				}
 				iters := int64(rng.Intn(12) + 1)
-				ok := bulk.TryAccessHitIters(blocks, writes, iters)
+				ok := bulk.TryAccessHitIters(blocks, lines, writes, iters)
 				if ok {
 					applied++
+					for j, li := range lines {
+						if ln := bulk.lines[li]; !ln.valid || ln.tag != blocks[j] {
+							t.Fatalf("resolved line %d of block %d holds %+v", li, blocks[j], ln)
+						}
+					}
 					for it := int64(0); it < iters; it++ {
 						for j := range blocks {
 							if c, _ := ref.AccessRW(blocks[j]*32, writes[j]); c != Hit {
@@ -141,7 +153,8 @@ func TestTryAccessHitItersRefusalUntouched(t *testing.T) {
 	c := MustNew(Geometry{Size: 1 << 10, BlockSize: 32, Assoc: 2}, WithClassification())
 	c.AccessRW(0, false)
 	before := c.Stats()
-	if c.TryAccessHitIters([]int64{999}, []bool{false}, 5) {
+	// The hint names the line holding block 0, not block 999.
+	if c.TryAccessHitIters([]int64{999}, []int64{c.LastLine()}, []bool{false}, 5) {
 		t.Fatal("fast-forward of a non-resident block succeeded")
 	}
 	if c.Stats() != before {
@@ -158,13 +171,14 @@ func TestBatchedEntryPointsZeroAlloc(t *testing.T) {
 	c := MustNew(benchGeom(), WithClassification())
 	warm(c, 64<<10)
 	blocks := []int64{0, 64, 128}
+	lines := []int64{-1, -1, -1}
 	writes := []bool{false, true, false}
 	for _, b := range blocks {
 		c.AccessRW(b*32, false)
 	}
 	allocs := testing.AllocsPerRun(10000, func() {
 		c.AccessRun(0, 8, false)
-		if !c.TryAccessHitIters(blocks, writes, 4) {
+		if !c.TryAccessHitIters(blocks, lines, writes, 4) {
 			t.Fatal("group not resident")
 		}
 	})
@@ -194,14 +208,16 @@ func BenchmarkAccessHitIters(b *testing.B) {
 	c := MustNew(benchGeom(), WithClassification())
 	warm(c, 64<<10)
 	blocks := []int64{0, 64, 128}
+	lines := make([]int64, len(blocks))
 	writes := []bool{false, true, false}
-	for _, blk := range blocks {
+	for j, blk := range blocks {
 		c.AccessRW(blk*32, false)
+		lines[j] = c.LastLine()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !c.TryAccessHitIters(blocks, writes, 8) {
+		if !c.TryAccessHitIters(blocks, lines, writes, 8) {
 			b.Fatal("group not resident")
 		}
 	}

@@ -108,20 +108,6 @@ type Result struct {
 	Timeline      []Segment // populated when Config.RecordTimeline is set
 }
 
-type evKind int
-
-const (
-	evFree evKind = iota // core became free: try to dispatch
-	evDone               // segment finished: bookkeeping, then core free
-)
-
-type event struct {
-	kind      evKind
-	core      int
-	p         *proc // for evDone: the process whose segment ended
-	completed bool  // for evDone: process ran to completion
-}
-
 // proc is one process as the engine sees it: its compiled trace cursor
 // and dependence edges, fixed at construction, plus the scheduling state
 // a run keeps for it (reset at the start of every run).
@@ -133,14 +119,26 @@ type proc struct {
 
 	pending  int  // predecessors not yet completed
 	lastCore int  // core of the previous segment, -1 before the first
-	inFlight bool // dispatched, and its evDone not yet popped
+	inFlight bool // dispatched, and its completion not yet popped
 }
 
 // segmentFunc simulates one segment: it advances cur on cache c until
 // completion or quantum expiry (quantum 0 = no limit) and returns the
-// consumed cycles. blocks and writes are scratch sized to the widest
-// reference group, owned by the calling executor.
-type segmentFunc func(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wbPenalty, quantum int64, blocks []int64, writes []bool) (cycles int64, completed bool)
+// consumed cycles. sc is owned by the calling executor.
+type segmentFunc func(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wbPenalty, quantum int64, sc *segScratch) (cycles int64, completed bool)
+
+// segScratch is one executor's fast-forward scratch, sized to the widest
+// reference group: the group's block numbers, the lines the boundary
+// iteration found them in (hints for cache.TryAccessHitIters), and its
+// write flags.
+type segScratch struct {
+	blocks, lines []int64
+	writes        []bool
+}
+
+func newSegScratch(refs int) *segScratch {
+	return &segScratch{blocks: make([]int64, refs), lines: make([]int64, refs), writes: make([]bool, refs)}
+}
 
 // Runner owns the per-run machinery of one (graph, address map, machine)
 // triple: compiled strided-RLE trace cursors and per-core caches, built
@@ -164,8 +162,7 @@ type Runner struct {
 	coreHitLat   []int64
 	coreMissBase []int64
 	// The inline executor's segment scratch; pool workers own theirs.
-	blockScratch []int64
-	writeScratch []bool
+	scratch *segScratch
 	// segment is runSegmentRLE; the differential tests swap in the
 	// access-by-access oracle here.
 	segment segmentFunc
@@ -234,9 +231,8 @@ func NewRunner(g *taskgraph.Graph, am layout.AddressMap, cfg Config) (*Runner, e
 	return &Runner{
 		cfg: cfg, procs: procs, roots: roots, caches: caches,
 		coreHitLat: coreHitLat, coreMissBase: coreMissBase,
-		blockScratch: make([]int64, maxRefs),
-		writeScratch: make([]bool, maxRefs),
-		segment:      runSegmentRLE,
+		scratch: newSegScratch(maxRefs),
+		segment: runSegmentRLE,
 	}, nil
 }
 
@@ -253,8 +249,8 @@ func (r *Runner) resetForRun() {
 }
 
 // execute simulates t on its core with the given scratch.
-func (r *Runner) execute(t *segTask, blocks []int64, writes []bool) {
-	t.cycles, t.completed = r.segment(t.p.cur, r.caches[t.core], r.coreHitLat[t.core], t.penalty, r.cfg.WritebackPenalty, t.quantum, blocks, writes)
+func (r *Runner) execute(t *segTask, sc *segScratch) {
+	t.cycles, t.completed = r.segment(t.p.cur, r.caches[t.core], r.coreHitLat[t.core], t.penalty, r.cfg.WritebackPenalty, t.quantum, sc)
 }
 
 // Run simulates the EPG under the dispatcher, executing every segment
@@ -284,7 +280,8 @@ func (r *Runner) RunParallel(d Dispatcher, workers int) (*Result, error) {
 // segTask is one dispatched segment. Result fields are written by
 // exactly one executor and read by the loop only after the task is
 // finished; each core owns one reusable slot (a core cannot dispatch
-// again until its previous segment's completion event popped).
+// again until its previous segment's completion popped), so a queued
+// completion names only its core and the slot holds the rest.
 type segTask struct {
 	core    int
 	p       *proc
@@ -299,14 +296,14 @@ type segTask struct {
 }
 
 // executor simulates dispatched segments and hands each back to the
-// loop through simulation.finish, which queues its completion event.
+// loop through simulation.finish, which queues its completion.
 // There are two: inlineExec below, and the pooled poolExec in
 // parallel_engine.go.
 type executor interface {
 	// submit starts t's simulation.
 	submit(t *segTask)
 	// settle runs before every pop: it finishes each submitted segment
-	// that could complete at or before the next queued event.
+	// that could complete at or before the next pending event.
 	settle()
 	// stop waits for every submitted segment and releases the executor.
 	stop()
@@ -319,17 +316,29 @@ type inlineExec struct{ s *simulation }
 
 func (e inlineExec) submit(t *segTask) {
 	r := e.s.r
-	r.execute(t, r.blockScratch, r.writeScratch)
+	r.execute(t, r.scratch)
 	e.s.finish(t)
 }
 
 func (inlineExec) settle() {}
 func (inlineExec) stop()   {}
 
-// simulation is the scheduling state of one run: the event queue, the
-// idle-core set, and the Result being accumulated. Its loop is the only
-// event loop in the package; which executor simulates the dispatched
-// segments is invisible to everything the dispatcher observes.
+// simulation is the scheduling state of one run: the pending events,
+// the idle-core set, and the Result being accumulated. Its loop is the
+// only event loop in the package; which executor simulates the
+// dispatched segments is invisible to everything the dispatcher
+// observes.
+//
+// There are two kinds of event, kept apart. A completion (a segment
+// ended: bookkeeping, then its core is free) goes in the timed heap
+// done, keyed by its end cycle. An offer (a free core asks the
+// dispatcher for work) is always made at the current cycle, so it goes
+// in the FIFO offers. A completion always lands strictly after the
+// cycle it is queued at (a segment runs at least one access), so one
+// time-ordered queue holding both would pop each cycle's completions
+// before its offers and the offers in push order. run pops in exactly
+// that order: done while its head is at the current cycle, then the
+// offers, then the next cycle's completions.
 type simulation struct {
 	r            *Runner
 	d            Dispatcher
@@ -338,7 +347,10 @@ type simulation struct {
 	coreAgnostic bool
 
 	res       *Result
-	events    *sim.Queue[event]
+	now       int64           // the current cycle: the time of the last popped event
+	done      *sim.Queue[int] // completions by core, at their end cycle
+	offers    []int           // cores to offer at now, in push order, from offerHead on
+	offerHead int
 	slots     []segTask // per-core task arena: a core runs one segment at a time
 	idle      []bool
 	idleCount int
@@ -356,7 +368,8 @@ func (r *Runner) newSimulation(d Dispatcher) *simulation {
 	cores := r.cfg.Cores
 	s := &simulation{
 		r: r, d: d,
-		events:    sim.NewQueue[event](),
+		done:      sim.NewQueue[int](),
+		offers:    make([]int, 0, cores),
 		slots:     make([]segTask, cores),
 		idle:      make([]bool, cores),
 		remaining: len(r.procs),
@@ -377,23 +390,41 @@ func (r *Runner) newSimulation(d Dispatcher) *simulation {
 	}
 	for c := range s.slots {
 		s.slots[c].core = c
-		s.events.Push(0, event{kind: evFree, core: c})
+		s.offers = append(s.offers, c)
 	}
 	return s
+}
+
+// nextTime returns the cycle of the next pending event; ok is false
+// when nothing is pending.
+func (s *simulation) nextTime() (t int64, ok bool) {
+	if len(s.offers) > 0 {
+		return s.now, true
+	}
+	t, _, ok = s.done.Peek()
+	return t, ok
 }
 
 func (s *simulation) run(exec executor) (*Result, error) {
 	for s.remaining > 0 {
 		exec.settle()
-		now, ev, ok := s.events.Pop()
-		if !ok {
-			return nil, fmt.Errorf("mpsoc: deadlock under policy %s: %d processes never dispatched", s.d.Name(), s.remaining)
-		}
-		if ev.kind == evDone {
-			s.complete(now, ev)
+		if now, core, ok := s.done.Peek(); ok && (len(s.offers) == 0 || now == s.now) {
+			s.done.Pop()
+			s.now = now
+			s.complete(now, core)
 			continue
 		}
-		t, err := s.dispatch(now, ev.core)
+		if len(s.offers) == 0 {
+			return nil, fmt.Errorf("mpsoc: deadlock under policy %s: %d processes never dispatched", s.d.Name(), s.remaining)
+		}
+		core := s.offers[s.offerHead]
+		s.offerHead++
+		if s.offerHead == len(s.offers) {
+			// Offers drain before time advances, so the FIFO rewinds
+			// whenever it empties and needs no ring.
+			s.offers, s.offerHead = s.offers[:0], 0
+		}
+		t, err := s.dispatch(s.now, core)
 		if err != nil {
 			return nil, err
 		}
@@ -413,17 +444,18 @@ func (s *simulation) run(exec executor) (*Result, error) {
 	return res, nil
 }
 
-// complete handles a popped evDone: dependence and dispatcher
-// bookkeeping, then the core is free again.
-func (s *simulation) complete(now int64, ev event) {
-	p := ev.p
+// complete handles a popped completion of core's segment: dependence
+// and dispatcher bookkeeping, then the core is free again.
+func (s *simulation) complete(now int64, core int) {
+	t := &s.slots[core]
+	p := t.p
 	p.inFlight = false
 	s.busyCores--
 	if s.observer != nil {
-		s.observer.SegmentDone(p.id, ev.core, now, ev.completed)
+		s.observer.SegmentDone(p.id, core, now, t.completed)
 	}
-	if ev.completed {
-		s.res.PerCore[ev.core].Procs++
+	if t.completed {
+		s.res.PerCore[core].Procs++
 		s.res.Completion[p.id] = now
 		s.makespan = max(s.makespan, now)
 		s.remaining--
@@ -443,7 +475,7 @@ func (s *simulation) complete(now int64, ev event) {
 	// itself is free again.
 	s.wakeIdle(now)
 	if s.remaining > 0 {
-		s.events.Push(now, event{kind: evFree, core: ev.core})
+		s.offers = append(s.offers, core)
 	}
 }
 
@@ -487,7 +519,7 @@ func (s *simulation) dispatch(now int64, core int) (*segTask, error) {
 	return t, nil
 }
 
-// finish accounts an executed segment and queues its completion event.
+// finish accounts an executed segment and queues its completion.
 func (s *simulation) finish(t *segTask) {
 	st := &s.res.PerCore[t.core]
 	st.BusyCycles += t.cycles
@@ -497,7 +529,7 @@ func (s *simulation) finish(t *segTask) {
 			Core: t.core, Proc: t.p.id, Start: t.start, End: t.start + t.cycles, Completed: t.completed,
 		})
 	}
-	s.events.Push(t.start+t.cycles, event{kind: evDone, core: t.core, p: t.p, completed: t.completed})
+	s.done.Push(t.start+t.cycles, t.core)
 }
 
 // wakeIdle requeues idle cores (in a deterministic order) without
@@ -515,7 +547,7 @@ func (s *simulation) finish(t *segTask) {
 // offers.
 //
 // The wake order is index order, except that an AffinityHinter's hinted
-// cores are woken first: same-cycle evFree events pop FIFO, so the first
+// cores are woken first: same-cycle offers pop FIFO, so the first
 // woken core is the first to Pick, and putting a pending process's
 // previous core there is what turns a would-be migration into a warm
 // resume. The elision itself is unaffected — hints reorder the woken
@@ -524,7 +556,7 @@ func (s *simulation) wakeIdle(now int64) {
 	if s.idleCount == 0 {
 		return
 	}
-	t, _, pending := s.events.Peek()
+	t, pending := s.nextTime()
 	quiet := !pending || t != now
 	if quiet && s.avail <= 0 {
 		return
@@ -536,7 +568,7 @@ func (s *simulation) wakeIdle(now int64) {
 	if s.hinter != nil && budget > 0 {
 		s.hinter.AffinityHints(now, func(c int) bool {
 			if c >= 0 && c < len(s.idle) && s.idle[c] {
-				s.wake(now, c)
+				s.wake(c)
 				budget--
 			}
 			return budget > 0 && s.idleCount > 0
@@ -547,14 +579,14 @@ func (s *simulation) wakeIdle(now int64) {
 			break
 		}
 		if s.idle[c] {
-			s.wake(now, c)
+			s.wake(c)
 			budget--
 		}
 	}
 }
 
-func (s *simulation) wake(now int64, c int) {
+func (s *simulation) wake(c int) {
 	s.idle[c] = false
 	s.idleCount--
-	s.events.Push(now, event{kind: evFree, core: c})
+	s.offers = append(s.offers, c)
 }

@@ -20,7 +20,7 @@ import (
 // access is checked against the quantum before it executes, so at least
 // one access always runs and preemptive policies make progress even with
 // degenerate quanta.
-func runSegment(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wbPenalty, quantum int64, _ []int64, _ []bool) (cycles int64, completed bool) {
+func runSegment(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wbPenalty, quantum int64, _ *segScratch) (cycles int64, completed bool) {
 	compute := cur.Spec().ComputePerIter
 	missCost := hitLat + missPenalty
 	for quantum <= 0 || cycles < quantum {

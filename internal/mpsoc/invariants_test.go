@@ -9,18 +9,36 @@ import (
 	"locsched/internal/taskgraph"
 )
 
-// randomWorkload builds a random DAG of streaming processes.
+// randomWorkload builds a random DAG of streaming processes over one
+// array of 4-byte elements. Each process has one to four references,
+// reads or writes, with strides of zero, below, at and above the 32-byte
+// block, backwards ones included; a reference may repeat the previous
+// one's stride a few elements on, so two references share a block.
 func randomWorkload(t *testing.T, rng *rand.Rand) (*taskgraph.Graph, layout.AddressMap) {
 	t.Helper()
 	arr := prog.MustArray("A", 4, 1<<20)
+	strides := []int64{0, 1, 2, 3, 8, 9, 20, -1, -3}
 	g := taskgraph.New()
 	n := 3 + rng.Intn(15)
 	ids := make([]taskgraph.ProcID, n)
 	for i := 0; i < n; i++ {
 		lo := int64(rng.Intn(1000)) * 100
 		iter := prog.Seg("i", lo, lo+int64(50+rng.Intn(400)))
-		spec := prog.MustProcessSpec("p", iter, int64(rng.Intn(4)),
-			prog.StreamRef(arr, prog.Read, iter, 1+int64(rng.Intn(3)), 0))
+		refs := make([]prog.Ref, 1+rng.Intn(4))
+		var stride, off int64
+		for j := range refs {
+			if j > 0 && rng.Intn(3) == 0 {
+				off += rng.Int63n(7)
+			} else {
+				stride, off = strides[rng.Intn(len(strides))], rng.Int63n(1<<16)
+			}
+			kind := prog.Read
+			if rng.Intn(4) == 0 {
+				kind = prog.Write
+			}
+			refs[j] = prog.StreamRef(arr, kind, iter, stride, off)
+		}
+		spec := prog.MustProcessSpec("p", iter, int64(rng.Intn(4)), refs...)
 		ids[i] = taskgraph.ProcID{Task: 0, Idx: i}
 		if err := g.AddProcess(&taskgraph.Process{ID: ids[i], Spec: spec}); err != nil {
 			t.Fatal(err)
@@ -60,56 +78,62 @@ func TestEngineInvariantsRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		checkAccounting(t, g, cfg.Cores, res)
+	}
+}
 
-		if len(res.Completion) != g.Len() {
-			t.Fatalf("trial %d: %d completions for %d processes", trial, len(res.Completion), g.Len())
+// checkAccounting fails unless res, a run of g on cores cores with the
+// timeline recorded, satisfies the identities every run must: every
+// process completes exactly once, within (0, makespan] and after its
+// predecessors; idle = cores×makespan − Σbusy; busy equals the summed
+// segment durations; and the cache counters add up.
+func checkAccounting(t *testing.T, g *taskgraph.Graph, cores int, res *Result) {
+	t.Helper()
+	if len(res.Completion) != g.Len() {
+		t.Fatalf("%d completions for %d processes", len(res.Completion), g.Len())
+	}
+	var totalBusy int64
+	for c, st := range res.PerCore {
+		if st.BusyCycles < 0 {
+			t.Fatalf("core %d negative busy", c)
 		}
-		var totalBusy int64
-		for c, st := range res.PerCore {
-			if st.BusyCycles < 0 {
-				t.Fatalf("trial %d: core %d negative busy", trial, c)
+		if st.BusyCycles > res.Cycles {
+			t.Fatalf("core %d busy %d exceeds makespan %d", c, st.BusyCycles, res.Cycles)
+		}
+		totalBusy += st.BusyCycles
+	}
+	if wantIdle := int64(cores)*res.Cycles - totalBusy; res.IdleCycles != wantIdle {
+		t.Fatalf("idle %d, want %d", res.IdleCycles, wantIdle)
+	}
+	var segBusy int64
+	completedSegs := 0
+	for _, s := range res.Timeline {
+		segBusy += s.End - s.Start
+		if s.Completed {
+			completedSegs++
+		}
+		if s.End > res.Cycles || s.Start < 0 {
+			t.Fatalf("segment %+v outside [0,%d]", s, res.Cycles)
+		}
+	}
+	if segBusy != totalBusy {
+		t.Fatalf("segment cycles %d != busy cycles %d", segBusy, totalBusy)
+	}
+	if completedSegs != g.Len() {
+		t.Fatalf("%d completing segments for %d processes", completedSegs, g.Len())
+	}
+	for id, c := range res.Completion {
+		if c <= 0 || c > res.Cycles {
+			t.Fatalf("completion of %v at %d outside (0,%d]", id, c, res.Cycles)
+		}
+		for _, p := range g.Preds(id) {
+			if res.Completion[p] >= c {
+				t.Fatalf("%v completed at %d, predecessor %v at %d", id, c, p, res.Completion[p])
 			}
-			if st.BusyCycles > res.Cycles {
-				t.Fatalf("trial %d: core %d busy %d exceeds makespan %d", trial, c, st.BusyCycles, res.Cycles)
-			}
-			totalBusy += st.BusyCycles
 		}
-		wantIdle := int64(cfg.Cores)*res.Cycles - totalBusy
-		if res.IdleCycles != wantIdle {
-			t.Fatalf("trial %d: idle %d, want %d", trial, res.IdleCycles, wantIdle)
-		}
-		var segBusy int64
-		completedSegs := 0
-		for _, s := range res.Timeline {
-			segBusy += s.End - s.Start
-			if s.Completed {
-				completedSegs++
-			}
-			if s.End > res.Cycles || s.Start < 0 {
-				t.Fatalf("trial %d: segment %+v outside [0,%d]", trial, s, res.Cycles)
-			}
-		}
-		if segBusy != totalBusy {
-			t.Fatalf("trial %d: segment cycles %d != busy cycles %d", trial, segBusy, totalBusy)
-		}
-		if completedSegs != g.Len() {
-			t.Fatalf("trial %d: %d completing segments for %d processes", trial, completedSegs, g.Len())
-		}
-		for id, c := range res.Completion {
-			if c <= 0 || c > res.Cycles {
-				t.Fatalf("trial %d: completion of %v at %d outside (0,%d]", trial, id, c, res.Cycles)
-			}
-			for _, p := range g.Preds(id) {
-				if res.Completion[p] >= c {
-					t.Fatalf("trial %d: %v completed at %d, predecessor %v at %d",
-						trial, id, c, p, res.Completion[p])
-				}
-			}
-		}
-		// Cache accounting.
-		if res.Total.Hits+res.Total.Misses() != res.Total.Accesses {
-			t.Fatalf("trial %d: cache stats inconsistent: %+v", trial, res.Total)
-		}
+	}
+	if res.Total.Hits+res.Total.Misses() != res.Total.Accesses {
+		t.Fatalf("cache stats inconsistent: %+v", res.Total)
 	}
 }
 

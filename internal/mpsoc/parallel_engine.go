@@ -54,10 +54,9 @@ func newPoolExec(s *simulation, workers int) *poolExec {
 // work drains segment tasks. Each worker owns its fast-forward scratch,
 // so concurrent segment executions share no mutable state.
 func work(r *Runner, tasks <-chan *segTask) {
-	blocks := make([]int64, len(r.blockScratch))
-	writes := make([]bool, len(r.writeScratch))
+	sc := newSegScratch(len(r.scratch.blocks))
 	for t := range tasks {
-		r.execute(t, blocks, writes)
+		r.execute(t, sc)
 		t.done <- struct{}{}
 	}
 }
@@ -88,7 +87,7 @@ func (e *poolExec) submit(t *segTask) {
 func (e *poolExec) settle() {
 	for len(e.inFlight) > 0 {
 		tnext := int64(math.MaxInt64)
-		if t, _, ok := e.s.events.Peek(); ok {
+		if t, ok := e.s.nextTime(); ok {
 			tnext = t
 		}
 		k := 0

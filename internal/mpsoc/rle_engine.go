@@ -1,6 +1,8 @@
 package mpsoc
 
 import (
+	"math/bits"
+
 	"locsched/internal/cache"
 	"locsched/internal/trace"
 )
@@ -25,11 +27,15 @@ import (
 // boundary iteration runs per access so the preemption point lands
 // exactly where access-by-access simulation puts it.
 //
-// blockScratch and writeScratch are caller-owned scratch sized to at
-// least the stream's reference count: the inline executor passes the
-// Runner's buffers, pool workers pass their own so concurrent segment
-// executions never share mutable state.
-func runSegmentRLE(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wbPenalty, quantum int64, blockScratch []int64, writeScratch []bool) (cycles int64, completed bool) {
+// The boundary iteration records the line each access hit or filled;
+// those lines are the hints that spare TryAccessHitIters its set scans
+// when no later access of the iteration evicted them. A reference the
+// segment has not yet touched (it resumed mid-iteration) has hint -1.
+//
+// sc is caller-owned scratch sized to at least the stream's reference
+// count: the inline executor passes the Runner's, pool workers pass
+// their own so concurrent segment executions never share mutable state.
+func runSegmentRLE(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wbPenalty, quantum int64, sc *segScratch) (cycles int64, completed bool) {
 	compute := cur.Spec().ComputePerIter
 	s := cur.Stream()
 	nrefs := s.NRefs()
@@ -40,9 +46,11 @@ func runSegmentRLE(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wb
 	// Cost of one fully-hitting iteration, for quantum capping.
 	iterCost := compute + int64(nrefs)*hitLat
 
-	blocks := blockScratch[:nrefs]
-	writes := writeScratch[:nrefs]
+	blocks := sc.blocks[:nrefs]
+	lines := sc.lines[:nrefs]
+	writes := sc.writes[:nrefs]
 	for j := 0; j < nrefs; j++ {
+		lines[j] = -1
 		writes[j] = flags[j]&trace.FlagWrite != 0
 	}
 
@@ -63,6 +71,7 @@ func runSegmentRLE(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wb
 					cycles += compute
 				}
 				class, wroteBack := c.AccessRW(starts[ref]+iter*deltas[ref], f&trace.FlagWrite != 0)
+				lines[ref] = c.LastLine()
 				if class == cache.Hit {
 					cycles += hitLat
 				} else {
@@ -86,12 +95,12 @@ func runSegmentRLE(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wb
 				if d == 0 {
 					continue
 				}
-				a := starts[j] + (iter-1)*d
+				off := c.BlockOffset(starts[j] + (iter-1)*d)
 				var left int64
 				if d > 0 {
-					left = (bs - 1 - a%bs) / d
+					left = steps(bs-1-off, d)
 				} else {
-					left = (a % bs) / -d
+					left = steps(off, -d)
 				}
 				if left < span {
 					span = left
@@ -123,9 +132,9 @@ func runSegmentRLE(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wb
 				continue
 			}
 			for j := 0; j < nrefs; j++ {
-				blocks[j] = (starts[j] + iter*deltas[j]) / bs
+				blocks[j] = c.BlockOf(starts[j] + iter*deltas[j])
 			}
-			if c.TryAccessHitIters(blocks, writes, span) {
+			if c.TryAccessHitIters(blocks, lines, writes, span) {
 				cycles += span * iterCost
 				iter += span
 			}
@@ -138,4 +147,13 @@ func runSegmentRLE(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wb
 	}
 	cur.Seek(seg, 0, 0)
 	return cycles, true
+}
+
+// steps returns n / d for positive d, by shift when d is a power of two
+// (every stride of a power-of-two number of elements).
+func steps(n, d int64) int64 {
+	if d&(d-1) == 0 {
+		return n >> bits.TrailingZeros64(uint64(d))
+	}
+	return n / d
 }

@@ -113,7 +113,10 @@ func New(cfg Config, planner Planner) (*Server, error) {
 	s.stats = newCounters(s.obs.reg)
 	switch {
 	case cfg.Store != nil:
+		// An injected store opened without Options.Metrics publishes its
+		// series here, like a store the daemon opens itself.
 		s.store = cfg.Store
+		s.store.RegisterMetrics(s.obs.reg)
 	case cfg.StoreDir != "":
 		st, err := store.Open(cfg.StoreDir, store.Options{MaxBytes: cfg.StoreBytes, Metrics: s.obs.reg})
 		if err != nil {

@@ -111,15 +111,11 @@ func TestWarmRestartFromDisk(t *testing.T) {
 func TestStoreFaultsDegradeNotFail(t *testing.T) {
 	dir := t.TempDir()
 	ffs := store.NewFaultFS(store.OSFS{})
-	// The injected store publishes its series on a registry of its own
-	// (the daemon registers them only on a store it opened itself).
-	reg := obs.NewRegistry()
 	st, err := store.Open(dir, store.Options{
 		FS:               ffs,
 		RetryBase:        time.Millisecond,
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour, // stays open for the test's lifetime
-		Metrics:          reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,14 +182,7 @@ func TestStoreFaultsDegradeNotFail(t *testing.T) {
 	if resp, _ := postBody(t, ts.URL+"/v1/run", `{"h":3}`); resp.StatusCode != 200 {
 		t.Fatalf("request with the breaker open: %d", resp.StatusCode)
 	}
-	var text bytes.Buffer
-	if err := reg.WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := obs.ParseExposition(text.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples := scrapeMetricsz(t, ts.URL)
 	ss := getStats(t, ts.URL).Store.Store
 	if ss.WriteErrors == 0 || ss.DroppedWrites == 0 {
 		t.Fatalf("faults not counted on /statsz: %+v", ss)
@@ -208,6 +197,58 @@ func TestStoreFaultsDegradeNotFail(t *testing.T) {
 		if got := metricValue(samples, name, "", ""); got != float64(want) {
 			t.Errorf("%s = %v in the metrics exposition, /statsz says %d", name, got, want)
 		}
+	}
+}
+
+// TestInjectedStoreMetrics: a store handed to the daemon through
+// Config.Store publishes its locsched_store_* series on the daemon's
+// /metricsz, timed operations included, when it was opened without a
+// registry; one opened with a registry keeps its series there, and the
+// daemon registers nothing twice.
+func TestInjectedStoreMetrics(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cfg := smallConfig()
+	cfg.Store = st
+	_, ts := testServer(t, cfg, &fakePlanner{})
+	if resp, _ := postBody(t, ts.URL+"/v1/run", `{"i":1}`); resp.StatusCode != 200 {
+		t.Fatalf("request: %d", resp.StatusCode)
+	}
+	samples := scrapeMetricsz(t, ts.URL)
+	if got := metricValue(samples, "locsched_store_writes_total", "", ""); got != 1 {
+		t.Errorf("locsched_store_writes_total = %v on /metricsz, want 1", got)
+	}
+	if got := metricValue(samples, "locsched_store_put_seconds_count", "", ""); got != 1 {
+		t.Errorf("locsched_store_put_seconds_count = %v on /metricsz, want 1", got)
+	}
+
+	reg := obs.NewRegistry()
+	own, err := store.Open(t.TempDir(), store.Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer own.Close()
+	cfg.Store = own
+	_, ts2 := testServer(t, cfg, &fakePlanner{})
+	if resp, _ := postBody(t, ts2.URL+"/v1/run", `{"i":2}`); resp.StatusCode != 200 {
+		t.Fatalf("request: %d", resp.StatusCode)
+	}
+	if got := metricValue(scrapeMetricsz(t, ts2.URL), "locsched_store_writes_total", "", ""); got != -1 {
+		t.Errorf("daemon re-registered a store that publishes on its own registry: writes = %v", got)
+	}
+	var text bytes.Buffer
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	own2, err := obs.ParseExposition(text.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metricValue(own2, "locsched_store_writes_total", "", ""); got != 1 {
+		t.Errorf("locsched_store_writes_total = %v on the store's registry, want 1", got)
 	}
 }
 

@@ -2,6 +2,13 @@
 // simulator: a deterministic time-ordered event queue. Events with equal
 // timestamps pop in insertion (FIFO) order, which keeps whole-system runs
 // reproducible bit-for-bit.
+//
+// The mpsoc engine queues only segment completions here, keyed by end
+// cycle with the core as payload. Its other events, core offers, are
+// always made at the current cycle, after every completion due then
+// was queued, so they wait in a plain FIFO beside the queue: popping
+// the queue's same-cycle head first and the FIFO next is the order one
+// queue holding both would give.
 package sim
 
 type item[T any] struct {

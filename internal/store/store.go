@@ -245,8 +245,8 @@ type Store struct {
 	lostBytes int64
 	c         counts
 
-	// getHist/putHist time Get/Put operations when Options.Metrics was
-	// set; nil otherwise (observeOp is nil-safe).
+	// getHist/putHist time Get/Put operations once the store's series are
+	// registered; nil otherwise (observeOp is nil-safe).
 	getHist *obs.Histogram
 	putHist *obs.Histogram
 }
@@ -324,16 +324,20 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.loadManifestCosts()
 	s.recovered = len(s.index)
-	s.registerMetrics(o.Metrics)
+	s.RegisterMetrics(o.Metrics)
 	return s, nil
 }
 
-// registerMetrics publishes the store's observability series on r (nil
-// disables instrumentation entirely — the standalone/test path). The
-// func-backed series read the same atomics /statsz snapshots, so the two
-// surfaces can never disagree.
-func (s *Store) registerMetrics(r *obs.Registry) {
-	if r == nil {
+// RegisterMetrics publishes the store's observability series on r; Open
+// calls it with Options.Metrics, and a daemon handed a store opened
+// without one calls it with its own registry. It does nothing for a nil
+// r (no instrumentation — the standalone/test path) or when the series
+// are already registered. Call it before the store is shared between
+// goroutines: it installs the operation timers. The func-backed series
+// read the same atomics /statsz snapshots, so the two surfaces can
+// never disagree.
+func (s *Store) RegisterMetrics(r *obs.Registry) {
+	if r == nil || s.getHist != nil {
 		return
 	}
 	s.getHist = r.Histogram("locsched_store_get_seconds",
