@@ -189,18 +189,15 @@ type Cache struct {
 	last       int64 // index into lines of the line the latest AccessRW hit or filled
 }
 
-// blockOf returns the block number of addr via the shift fast path when
-// the block size is a power of two.
-func (c *Cache) blockOf(addr int64) int64 {
+// BlockOf returns the number of the block holding addr, by the rule
+// every access uses: the shift fast path when the block size is a power
+// of two.
+func (c *Cache) BlockOf(addr int64) int64 {
 	if c.blockShift > 0 {
 		return addr >> c.blockShift
 	}
 	return addr / c.geom.BlockSize
 }
-
-// BlockOf returns the number of the block holding addr, by the rule
-// every access uses.
-func (c *Cache) BlockOf(addr int64) int64 { return c.blockOf(addr) }
 
 // BlockOffset returns addr's byte offset within its block, consistent
 // with BlockOf.
@@ -314,7 +311,7 @@ func (c *Cache) Access(addr int64) MissClass {
 func (c *Cache) AccessRW(addr int64, write bool) (class MissClass, wroteBack bool) {
 	c.tick++
 	c.stats.Accesses++
-	block := c.blockOf(addr)
+	block := c.BlockOf(addr)
 	base := c.setIndex(block) * int64(c.assoc)
 	set := c.lines[base : base+int64(c.assoc)]
 
@@ -410,7 +407,7 @@ func (c *Cache) LastLine() int64 { return c.last }
 // Contains reports whether the block holding addr is resident (without
 // touching stats or recency).
 func (c *Cache) Contains(addr int64) bool {
-	block := c.blockOf(addr)
+	block := c.BlockOf(addr)
 	base := c.setIndex(block) * int64(c.assoc)
 	set := c.lines[base : base+int64(c.assoc)]
 	for i := range set {

@@ -12,16 +12,21 @@ import (
 )
 
 // fuzzMachine decodes knobs into a machine: 1–8 cores; a 1–8 KiB cache
-// of associativity 1, 2 or 4 under LRU, FIFO or random replacement,
-// modulo or prime-hashed indexing, with or without miss
-// classification; write-through or write-back with a penalty; an
-// optional bus contention factor and an optional heterogeneous mesh.
+// of 16-, 32- or 64-byte blocks and associativity 1, 2 or 4 under LRU,
+// FIFO or random replacement, modulo or prime-hashed indexing, with or
+// without miss classification; write-through or write-back with a
+// penalty; an optional bus contention factor and an optional
+// heterogeneous mesh.
 func fuzzMachine(knobs uint32) Config {
 	bits := func(shift, width uint) int { return int(knobs>>shift) & (1<<width - 1) }
 	cfg := DefaultConfig()
 	cfg.RecordTimeline = true
 	cfg.Cores = 1 + bits(0, 3)
-	cfg.Cache = cache.Geometry{Size: 1024 << bits(3, 2), BlockSize: 32, Assoc: []int{1, 2, 4, 2}[bits(5, 2)]}
+	cfg.Cache = cache.Geometry{
+		Size:      1024 << bits(3, 2),
+		BlockSize: []int64{32, 16, 64, 32}[bits(21, 2)],
+		Assoc:     []int{1, 2, 4, 2}[bits(5, 2)],
+	}
 	cfg.Replacement = []cache.Replacement{cache.LRU, cache.FIFO, cache.RandomRepl, cache.LRU}[bits(7, 2)]
 	cfg.Indexing = []cache.Indexing{cache.ModuloIndexing, cache.PrimeModuloIndexing, cache.PrimeDisplacementIndexing, cache.ModuloIndexing}[bits(9, 2)]
 	cfg.Classify = bits(11, 1) == 0

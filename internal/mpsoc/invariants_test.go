@@ -1,6 +1,7 @@
 package mpsoc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -64,21 +65,21 @@ func randomWorkload(t *testing.T, rng *rand.Rand) (*taskgraph.Graph, layout.Addr
 func TestEngineInvariantsRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
-		g, am := randomWorkload(t, rng)
-		cfg := DefaultConfig()
-		cfg.Cores = 1 + rng.Intn(8)
-		cfg.RecordTimeline = true
-		var disp Dispatcher
-		quantum := int64(0)
-		if rng.Intn(2) == 0 {
-			quantum = int64(200 + rng.Intn(2000))
-		}
-		disp = &fifoDispatcher{quantum: quantum}
-		res, err := runOnce(g, disp, am, cfg)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		checkAccounting(t, g, cfg.Cores, res)
+		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
+			g, am := randomWorkload(t, rng)
+			cfg := DefaultConfig()
+			cfg.Cores = 1 + rng.Intn(8)
+			cfg.RecordTimeline = true
+			quantum := int64(0)
+			if rng.Intn(2) == 0 {
+				quantum = int64(200 + rng.Intn(2000))
+			}
+			res, err := runOnce(g, &fifoDispatcher{quantum: quantum}, am, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAccounting(t, g, cfg.Cores, res)
+		})
 	}
 }
 
