@@ -223,14 +223,34 @@ func TestBenchServe(t *testing.T) {
 		t.Skip("runs real experiments")
 	}
 	const conc = 4
-	cfg := server.DefaultConfig()
-	gate := &burstGate{Planner: server.NewPlanner(cfg), followers: conc - 1}
-	srv, err := server.New(cfg, gate)
+	gate := &burstGate{Planner: server.NewPlanner(server.DefaultConfig()), followers: conc - 1}
+	benchServe(t, conc, gate, func(url string) { gate.metricsURL = url + "/metricsz" })
+}
+
+// TestBenchServeUngated: the same run against the plain production
+// planner. The bench itself sends the burst's followers only once the
+// daemon shows the leader in flight, so -expect-cache holds without any
+// help from the daemon's side.
+func TestBenchServeUngated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real experiments")
+	}
+	benchServe(t, 4, nil, nil)
+}
+
+// benchServe runs `locsched bench -serve … -expect-cache` at conc
+// clients against an in-process daemon over planner (nil = production);
+// ready, when set, receives the daemon's URL before the bench starts.
+func benchServe(t *testing.T, conc int, planner server.Planner, ready func(url string)) {
+	t.Helper()
+	srv, err := server.New(server.DefaultConfig(), planner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	gate.metricsURL = ts.URL + "/metricsz"
+	if ready != nil {
+		ready(ts.URL)
+	}
 	defer func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -26,6 +26,7 @@ var godocGatedFiles = []string{
 	"internal/sharing/parallel.go",
 	"internal/taskgraph/content.go",
 	"internal/obs/metrics.go",
+	"internal/obs/fields.go",
 	"internal/obs/histogram.go",
 	"internal/obs/expfmt.go",
 	"internal/obs/trace.go",
@@ -33,7 +34,6 @@ var godocGatedFiles = []string{
 	"internal/server/server.go",
 	"internal/server/planner.go",
 	"internal/server/metrics.go",
-	"internal/experiment/metrics.go",
 	"internal/server/cache.go",
 	"internal/server/coalesce.go",
 	"internal/server/config.go",

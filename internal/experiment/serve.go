@@ -83,22 +83,29 @@ func AnalyzeLS(g *taskgraph.Graph, arrays []*prog.Array, cores, workers int) (*s
 // CacheStats is a point-in-time snapshot of the experiment layer's
 // family-table counters (analysis tiers, interning, parked runners),
 // exported for the serving daemon's /statsz endpoint and for regression
-// tests.
+// tests. Each field's tag declares the /metricsz series that publishes
+// it (obs.Publish).
 type CacheStats struct {
-	// MatrixHits / MatrixMisses count sharing-matrix tier lookups.
-	MatrixHits, MatrixMisses int64
-	// LSHits / LSMisses count LS-assignment tier lookups.
-	LSHits, LSMisses int64
-	// LSMHits / LSMMisses count LSM-mapping tier lookups.
-	LSMHits, LSMMisses int64
+	// MatrixHits counts sharing-matrix tier hits.
+	MatrixHits int64 `metric:"locsched_experiment_matrix_hits_total" help:"Sharing-matrix analysis tier cache hits."`
+	// MatrixMisses counts sharing-matrix tier misses.
+	MatrixMisses int64 `metric:"locsched_experiment_matrix_misses_total" help:"Sharing-matrix analysis tier cache misses."`
+	// LSHits counts LS-assignment tier hits.
+	LSHits int64 `metric:"locsched_experiment_ls_hits_total" help:"LS-assignment analysis tier cache hits."`
+	// LSMisses counts LS-assignment tier misses.
+	LSMisses int64 `metric:"locsched_experiment_ls_misses_total" help:"LS-assignment analysis tier cache misses."`
+	// LSMHits counts LSM-mapping tier hits.
+	LSMHits int64 `metric:"locsched_experiment_lsm_hits_total" help:"LSM-mapping analysis tier cache hits."`
+	// LSMMisses counts LSM-mapping tier misses.
+	LSMMisses int64 `metric:"locsched_experiment_lsm_misses_total" help:"LSM-mapping analysis tier cache misses."`
 	// AnalysisEvictions counts whole-table drops of the family table.
-	AnalysisEvictions int64
+	AnalysisEvictions int64 `metric:"locsched_experiment_analysis_evictions_total" help:"Whole-table drops of the workload family table."`
 	// RunnerPoolHits counts simulations served a runner parked by an
 	// earlier cell.
-	RunnerPoolHits int64
+	RunnerPoolHits int64 `metric:"locsched_experiment_runner_pool_hits_total" help:"Simulations served a pooled runner."`
 	// InternHits counts content-equal workloads swapped for an already
 	// canonical object family.
-	InternHits int64
+	InternHits int64 `metric:"locsched_experiment_intern_hits_total" help:"Content-equal workloads swapped for a canonical object family."`
 }
 
 // Stats snapshots the experiment-layer cache counters.

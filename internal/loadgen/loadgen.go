@@ -131,6 +131,7 @@ const (
 	diskHitsTotal   = "locsched_cache_disk_hits_total"
 	peerHitsTotal   = "locsched_fleet_peer_hits_total"
 	storeDegraded   = "locsched_store_degraded"
+	inflightKeys    = "locsched_server_inflight_keys"
 )
 
 // streamReq is one request of a replayed stream.
@@ -414,23 +415,30 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		r.post(base, req)
 	}
 
-	// Coalesce burst: all clients fire the identical cold request at
-	// once; one execution runs, the rest coalesce (or arrive late and
-	// hit the cache). Each round's key must be cold on the *daemon*, not
-	// just within this process — a fixed quantum would already sit in
-	// the result cache on a second bench run against the same daemon —
-	// so the quantum carries a per-run wall-clock nonce plus the round.
-	// This is the run's only deliberate source of coalescing: the
-	// stream's ordered repeats are cache hits.
+	// Coalesce burst: the leader goes first, and the other clients send
+	// the identical request once the daemon shows it in flight, so they
+	// join its execution instead of racing it. Each round's workload and
+	// quantum carry a per-run wall-clock nonce plus the round, so the
+	// key is cold on the *daemon* (not just within this process) and no
+	// round finds its workload family's analysis already memoised. This
+	// is the run's only deliberate source of coalescing: the stream's
+	// ordered repeats are cache hits.
 	burstBase := 10_000 + time.Now().UnixNano()%1_000_000_000
-	for round := int64(0); round < 5 && r.coalesced() == 0; round++ {
+	for round := 0; round < 5 && r.coalesced() == 0; round++ {
+		nonce := burstBase + int64(round)
 		burst := jsonReq("/v1/run", server.RunRequest{
-			Workload: server.WorkloadSpec{Mix: 4, Scale: cfg.Scale},
+			Workload: server.WorkloadSpec{TaskSet: burstTaskSet(nonce)},
 			Policy:   "LSM",
-			Config:   server.ConfigSpec{Quantum: burstBase + round},
+			Config:   server.ConfigSpec{Quantum: nonce},
 		})
+		leader := make(chan struct{})
+		go func() {
+			defer close(leader)
+			r.post(base, burst)
+		}()
+		r.awaitInflight(base, leader)
 		var wg sync.WaitGroup
-		for range r.cfg.Concurrency {
+		for range r.cfg.Concurrency - 1 {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -438,10 +446,42 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 			}()
 		}
 		wg.Wait()
+		<-leader
 	}
 
 	r.replay(buildStream(cfg.Scale))
 	return r.finish()
+}
+
+// burstTaskSet is the coalesce burst's workload: eight producer/consumer
+// tasks whose array sizes derive from nonce, so each round is a workload
+// family the daemon has not analysed yet. Their ~400k accesses keep the
+// leader's execution in the millisecond range even on a warm daemon, long
+// enough for the followers to join it.
+func burstTaskSet(nonce int64) json.RawMessage {
+	task := fmt.Sprintf(`{"name":"burst","arrays":[{"name":"A","elems":%d},{"name":"B","elems":%[1]d}],"procs":[`+
+		`{"name":"produce","iter_lo":0,"iter_hi":16384,"compute":1,"refs":[{"array":"A","kind":"w","stride":1}],"deps":[]},`+
+		`{"name":"consume","iter_lo":0,"iter_hi":16384,"compute":1,"refs":[{"array":"A","kind":"r","stride":1},{"array":"B","kind":"w","stride":1}],"deps":[0]}]}`,
+		16384+nonce%65536)
+	return json.RawMessage(`{"tasks":[` + strings.Repeat(task+",", 7) + task + `]}`)
+}
+
+// awaitInflight polls base's /metricsz until the daemon reports a key in
+// flight (locsched_server_inflight_keys ≥ 1) or done closes — the leader
+// already finished, so the round cannot coalesce.
+func (r *run) awaitInflight(base string, done <-chan struct{}) {
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		samples, err := r.scrape(base)
+		if v, _, _ := fold(samples, inflightKeys, nil); err != nil || v >= 1 {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // coalesced reads the run's coalesced-response count so far.

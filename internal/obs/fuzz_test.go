@@ -22,7 +22,7 @@ func FuzzMetricsExposition(f *testing.F) {
 		c := r.Counter("locsched_fuzz_ops_total", "fuzzed counter", L("tag", labelVal))
 		c.Add(counterDelta)
 		c.Inc()
-		r.Gauge("locsched_fuzz_depth", "fuzzed gauge", L("tag", labelVal)).Set(counterDelta)
+		r.GaugeFunc("locsched_fuzz_depth", "fuzzed gauge", func() float64 { return float64(counterDelta) }, L("tag", labelVal))
 		r.CounterFunc("locsched_fuzz_fn_total", "fuzzed func", func() float64 { return obsVal })
 		h := r.Histogram("locsched_fuzz_wait_seconds", "fuzzed hist", nil, L("tag", labelVal))
 		h.Observe(obsVal)

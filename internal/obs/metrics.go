@@ -57,20 +57,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a metric that can go up and down, stored as an int64.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // kind is a metric family's exposition TYPE.
 type kind int
 
@@ -98,7 +84,6 @@ func (k kind) typeName() string {
 type series struct {
 	labels  []Label
 	counter *Counter
-	gauge   *Gauge
 	fn      func() float64
 	hist    *Histogram
 }
@@ -220,20 +205,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return s.counter
 }
 
-// Gauge returns the registered gauge for (name, labels), creating it on
-// first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	f := r.family(name, help, kindGauge)
-	s := f.get(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-		s.fn = nil
-	}
-	return s.gauge
-}
-
 // CounterFunc registers a counter series whose value is read from fn at
 // exposition time — the bridge for subsystems that already keep their
 // own atomic counters (a later registration for the same series replaces
@@ -256,7 +227,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s.fn = fn
-	s.gauge = nil
 }
 
 // Histogram returns the registered histogram for (name, labels),
@@ -377,8 +347,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, renderLabels(s.labels, "", ""), formatValue(s.fn()))
 			case s.counter != nil:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, renderLabels(s.labels, "", ""), s.counter.Value())
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, renderLabels(s.labels, "", ""), s.gauge.Value())
 			}
 		}
 		f.mu.Unlock()

@@ -119,7 +119,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				r.Counter("locsched_test_ops_total", "ops").Inc()
-				r.Gauge("locsched_test_depth", "depth").Set(int64(i))
+				r.GaugeFunc("locsched_test_depth", "depth", func() float64 { return float64(i) })
 				r.Histogram("locsched_test_seconds", "lat", nil).Observe(0.01)
 				var sb strings.Builder
 				if err := r.WriteText(&sb); err != nil {
@@ -210,7 +210,7 @@ func TestRegistryKindConflictPanics(t *testing.T) {
 			t.Fatal("kind conflict did not panic")
 		}
 	}()
-	r.Gauge("locsched_test_x_total", "x")
+	r.GaugeFunc("locsched_test_x_total", "x", func() float64 { return 0 })
 }
 
 func TestDeltaSamples(t *testing.T) {

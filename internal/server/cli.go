@@ -22,25 +22,25 @@ import (
 func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("locschedd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	def := DefaultConfig()
-	addr := fs.String("addr", def.Addr, "listen address")
-	queue := fs.Int("queue", def.QueueDepth, "job queue depth (full queue answers 429)")
-	workers := fs.Int("workers", def.Workers, "executor goroutines draining the queue")
-	expWorkers := fs.Int("expworkers", def.ExpWorkers, "intra-request experiment workers per job")
-	simWorkers := fs.Int("simworkers", def.SimWorkers, "intra-run engine pool workers per cell (0 = inline executor; cache-neutral)")
-	cacheEntries := fs.Int("cache-entries", def.CacheEntries, "result cache entry bound")
-	cacheMB := fs.Int64("cache-mb", def.CacheBytes>>20, "result cache byte bound in MiB")
-	timeout := fs.Duration("timeout", def.RequestTimeout, "per-request deadline (queue wait + execution)")
-	drain := fs.Duration("drain", def.DrainTimeout, "graceful shutdown budget after SIGTERM")
-	scale := fs.Int("scale", 0, "default workload scale for requests that set none (0 = built-in default)")
-	storeDir := fs.String("store-dir", "", "persistent result store directory (empty = memory-only)")
+	cfg := DefaultConfig()
+	fs.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address")
+	fs.IntVar(&cfg.QueueDepth, "queue", cfg.QueueDepth, "job queue depth (full queue answers 429)")
+	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "executor goroutines draining the queue")
+	fs.IntVar(&cfg.ExpWorkers, "expworkers", cfg.ExpWorkers, "intra-request experiment workers per job")
+	fs.IntVar(&cfg.SimWorkers, "simworkers", cfg.SimWorkers, "intra-run engine pool workers per cell (0 = inline executor; cache-neutral)")
+	fs.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "result cache entry bound")
+	cacheMB := fs.Int64("cache-mb", cfg.CacheBytes>>20, "result cache byte bound in MiB")
+	fs.DurationVar(&cfg.RequestTimeout, "timeout", cfg.RequestTimeout, "per-request deadline (queue wait + execution)")
+	fs.DurationVar(&cfg.DrainTimeout, "drain", cfg.DrainTimeout, "graceful shutdown budget after SIGTERM")
+	fs.IntVar(&cfg.Scale, "scale", 0, "default workload scale for requests that set none (0 = built-in default)")
+	fs.StringVar(&cfg.StoreDir, "store-dir", "", "persistent result store directory (empty = memory-only)")
 	storeMB := fs.Int64("store-mb", 0, "persistent store on-disk bound in MiB (0 = store default)")
-	fleetSelf := fs.String("fleet-self", "", "this replica's advertised base URL, enabling fleet mode (empty = single instance)")
+	fs.StringVar(&cfg.FleetSelf, "fleet-self", "", "this replica's advertised base URL, enabling fleet mode (empty = single instance)")
 	fleetPeers := fs.String("fleet-peers", "", "comma-separated peer replica base URLs (requires -fleet-self)")
-	peerTimeout := fs.Duration("peer-timeout", 0, "per-attempt peer fetch timeout (0 = 2s default)")
+	fs.DurationVar(&cfg.PeerTimeout, "peer-timeout", 0, "per-attempt peer fetch timeout (0 = 2s default)")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug (includes trace spans), info, warn, error")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
-	pprof := fs.Bool("pprof", false, "register net/http/pprof handlers under /debug/pprof/")
+	fs.BoolVar(&cfg.Pprof, "pprof", false, "register net/http/pprof handlers under /debug/pprof/")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -52,22 +52,8 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := def
-	cfg.Addr = *addr
-	cfg.QueueDepth = *queue
-	cfg.Workers = *workers
-	cfg.ExpWorkers = *expWorkers
-	cfg.SimWorkers = *simWorkers
-	cfg.CacheEntries = *cacheEntries
 	cfg.CacheBytes = *cacheMB << 20
-	cfg.RequestTimeout = *timeout
-	cfg.DrainTimeout = *drain
-	cfg.Scale = *scale
-	cfg.StoreDir = *storeDir
 	cfg.StoreBytes = *storeMB << 20
-	cfg.FleetSelf = *fleetSelf
-	cfg.PeerTimeout = *peerTimeout
-	cfg.Pprof = *pprof
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
 		fmt.Fprintln(stderr, "locschedd:", err)

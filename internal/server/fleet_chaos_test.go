@@ -133,10 +133,10 @@ func TestFleetPeerHitServesOwnerBytes(t *testing.T) {
 	if n := a.planner.execs.Load(); n != 0 {
 		t.Fatalf("non-owner executed %d jobs, want 0", n)
 	}
-	if n := a.srv.stats.peerHits.Value(); n != 1 {
+	if n := a.srv.stats.PeerHits.Value(); n != 1 {
 		t.Fatalf("peer hits = %d, want 1", n)
 	}
-	if n := b.srv.stats.peerServes.Value(); n != 1 {
+	if n := b.srv.stats.PeerServes.Value(); n != 1 {
 		t.Fatalf("owner peer serves = %d, want 1", n)
 	}
 	// The fetched bytes were promoted: the repeat is a memory cache hit,
@@ -145,7 +145,7 @@ func TestFleetPeerHitServesOwnerBytes(t *testing.T) {
 	if respA2.Header.Get(ResultHeader) != "cached" {
 		t.Fatalf("repeat after peer hit served %q, want cached", respA2.Header.Get(ResultHeader))
 	}
-	if n := a.srv.stats.peerHits.Value(); n != 1 {
+	if n := a.srv.stats.PeerHits.Value(); n != 1 {
 		t.Fatalf("peer hits after repeat = %d, want still 1", n)
 	}
 }
@@ -163,16 +163,16 @@ func TestFleetMissThenReplicateToOwner(t *testing.T) {
 	if respA.StatusCode != 200 || respA.Header.Get(ResultHeader) != "cold" {
 		t.Fatalf("non-owner compute: status %d, served %q", respA.StatusCode, respA.Header.Get(ResultHeader))
 	}
-	if n := a.srv.stats.peerMisses.Value(); n != 1 {
+	if n := a.srv.stats.PeerMisses.Value(); n != 1 {
 		t.Fatalf("peer misses = %d, want 1 (cold owner answers 404)", n)
 	}
-	if n := a.srv.stats.peerErrors.Value(); n != 0 {
+	if n := a.srv.stats.PeerErrors.Value(); n != 0 {
 		t.Fatalf("peer errors = %d, want 0 (a clean miss is not an error)", n)
 	}
-	if n := a.srv.stats.peerReplOut.Value(); n != 1 {
+	if n := a.srv.stats.ReplicatedOut.Value(); n != 1 {
 		t.Fatalf("replications out = %d, want 1", n)
 	}
-	if n := b.srv.stats.peerReplIn.Value(); n != 1 {
+	if n := b.srv.stats.ReplicatedIn.Value(); n != 1 {
 		t.Fatalf("owner replications in = %d, want 1", n)
 	}
 	respB, bytesB := postBody(t, b.base+"/v1/run", body)
@@ -207,7 +207,7 @@ func TestFleetChaosPeerDown(t *testing.T) {
 	if want := "resp:run|" + body; string(b) != want {
 		t.Fatalf("body %q, want %q", b, want)
 	}
-	if n := s.stats.peerErrors.Value(); n != 1 {
+	if n := s.stats.PeerErrors.Value(); n != 1 {
 		t.Fatalf("peer errors = %d, want 1", n)
 	}
 	if n := p.execs.Load(); n != 1 {
@@ -270,7 +270,7 @@ func TestFleetChaosPeerSlow(t *testing.T) {
 	if resp.StatusCode != 200 || resp.Header.Get(ResultHeader) != "cold" {
 		t.Fatalf("status %d, served %q, want 200/cold", resp.StatusCode, resp.Header.Get(ResultHeader))
 	}
-	if n := s.stats.peerErrors.Value(); n != 1 {
+	if n := s.stats.PeerErrors.Value(); n != 1 {
 		t.Fatalf("peer errors = %d, want 1", n)
 	}
 	if elapsed > 2*time.Second {
@@ -312,7 +312,7 @@ func TestFleetChaosCorruptPeerBytes(t *testing.T) {
 	if want := "resp:run|" + body; string(b) != want {
 		t.Fatalf("body %q, want locally recomputed %q", b, want)
 	}
-	if n := s.stats.peerErrors.Value(); n != 1 {
+	if n := s.stats.PeerErrors.Value(); n != 1 {
 		t.Fatalf("peer errors = %d, want 1", n)
 	}
 }
@@ -334,7 +334,7 @@ func TestFleetChaosMembershipChangeMidStream(t *testing.T) {
 	if resp.StatusCode != 200 || resp.Header.Get(ResultHeader) != "cold" {
 		t.Fatalf("solo: status %d, served %q", resp.StatusCode, resp.Header.Get(ResultHeader))
 	}
-	if n := s.stats.peerErrors.Value() + s.stats.peerMisses.Value(); n != 0 {
+	if n := s.stats.PeerErrors.Value() + s.stats.PeerMisses.Value(); n != 0 {
 		t.Fatalf("solo ring produced %d peer counters, want 0", n)
 	}
 
@@ -346,7 +346,7 @@ func TestFleetChaosMembershipChangeMidStream(t *testing.T) {
 	if resp.StatusCode != 200 || resp.Header.Get(ResultHeader) != "cold" {
 		t.Fatalf("dead member joined: status %d, served %q", resp.StatusCode, resp.Header.Get(ResultHeader))
 	}
-	if n := s.stats.peerErrors.Value(); n != 1 {
+	if n := s.stats.PeerErrors.Value(); n != 1 {
 		t.Fatalf("peer errors = %d, want 1", n)
 	}
 	// The recompute landed in the local cache: the repeat does not pay a
@@ -355,7 +355,7 @@ func TestFleetChaosMembershipChangeMidStream(t *testing.T) {
 	if resp.Header.Get(ResultHeader) != "cached" {
 		t.Fatalf("repeat served %q, want cached", resp.Header.Get(ResultHeader))
 	}
-	if n := s.stats.peerErrors.Value(); n != 1 {
+	if n := s.stats.PeerErrors.Value(); n != 1 {
 		t.Fatalf("peer errors after cached repeat = %d, want still 1", n)
 	}
 
@@ -366,7 +366,7 @@ func TestFleetChaosMembershipChangeMidStream(t *testing.T) {
 	if resp.StatusCode != 200 || resp.Header.Get(ResultHeader) != "cold" {
 		t.Fatalf("after shrink: status %d, served %q", resp.StatusCode, resp.Header.Get(ResultHeader))
 	}
-	if n := s.stats.peerErrors.Value() + s.stats.peerMisses.Value(); n != 1 {
+	if n := s.stats.PeerErrors.Value() + s.stats.PeerMisses.Value(); n != 1 {
 		t.Fatalf("shrunk ring added peer counters: %d, want 1 (the earlier error only)", n)
 	}
 }

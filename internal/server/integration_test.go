@@ -57,7 +57,7 @@ func TestIntegrationColdCachedCoalescedIdentical(t *testing.T) {
 	}
 	wg.Wait()
 
-	if n := s.stats.executions.Value(); n != 1 {
+	if n := s.stats.Executions.Value(); n != 1 {
 		t.Fatalf("executions = %d, want exactly 1 for %d identical concurrent requests", n, clients)
 	}
 	for i := 1; i < clients; i++ {
@@ -84,7 +84,7 @@ func TestIntegrationColdCachedCoalescedIdentical(t *testing.T) {
 	if !bytes.Equal(b, bodies[0]) {
 		t.Fatalf("cached body differs from cold body:\n%s\nvs\n%s", b, bodies[0])
 	}
-	if n := s.stats.executions.Value(); n != 1 {
+	if n := s.stats.Executions.Value(); n != 1 {
 		t.Fatalf("repeat re-executed: executions = %d", n)
 	}
 
@@ -130,7 +130,7 @@ func TestIntegrationTaskSetReload(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("task_set reload body differs")
 	}
-	if n := s.stats.executions.Value(); n != 1 {
+	if n := s.stats.Executions.Value(); n != 1 {
 		t.Fatalf("task_set executions = %d, want 1", n)
 	}
 }
@@ -188,7 +188,7 @@ func TestIntegrationAnalysis(t *testing.T) {
 	if resp2.Header.Get(ResultHeader) != "cached" || !bytes.Equal(b, b2) {
 		t.Fatal("analysis repeat not served verbatim from cache")
 	}
-	if n := s.stats.executions.Value(); n != 1 {
+	if n := s.stats.Executions.Value(); n != 1 {
 		t.Fatalf("analysis executions = %d, want 1", n)
 	}
 }

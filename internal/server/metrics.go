@@ -12,25 +12,23 @@ import (
 
 // serverObs bundles one server's observability state: its metrics
 // registry (served at /metricsz), the structured logger behind access
-// and span records, and the pre-registered latency histograms on the
-// request path. Every instrument lives on the per-server registry, so
-// embedded and test servers never share series.
+// and span records, and the latency histograms on the request path,
+// each declared by its tag (obs.Bind). Every instrument lives on the
+// per-server registry, so embedded and test servers never share series.
 type serverObs struct {
 	// reg is the server's metrics registry, rendered at /metricsz.
 	reg *obs.Registry
 	// logger receives access lines (Info) and trace spans (Debug).
 	logger *slog.Logger
-	// requestSeconds times every HTTP request end to end.
-	requestSeconds *obs.Histogram
-	// queueWaitSeconds times admitted jobs from enqueue to dequeue.
-	queueWaitSeconds *obs.Histogram
-	// coalesceWaitSeconds times coalesced followers from join to result.
-	coalesceWaitSeconds *obs.Histogram
-	// executionSeconds times worker-pool job executions.
-	executionSeconds *obs.Histogram
+
+	RequestSeconds      *obs.Histogram `metric:"locsched_server_request_seconds" help:"End-to-end HTTP request latency."`
+	QueueWaitSeconds    *obs.Histogram `metric:"locsched_server_queue_wait_seconds" help:"Admitted job wait from enqueue to worker dequeue."`
+	CoalesceWaitSeconds *obs.Histogram `metric:"locsched_server_coalesce_wait_seconds" help:"Coalesced follower wait from join to shared result."`
+	ExecutionSeconds    *obs.Histogram `metric:"locsched_server_execution_seconds" help:"Worker-pool job execution time."`
+
 	// responses counts served responses by result class (the
-	// X-Locsched-Result values), pre-registered so all classes render
-	// from the first scrape.
+	// X-Locsched-Result values writeBody passes), pre-registered so all
+	// classes render from the first scrape.
 	responses map[string]*obs.Counter
 }
 
@@ -40,44 +38,20 @@ func newServerObs(logger *slog.Logger) *serverObs {
 	if logger == nil {
 		logger = obs.Discard()
 	}
-	reg := obs.NewRegistry()
-	o := &serverObs{
-		reg:    reg,
-		logger: logger,
-		requestSeconds: reg.Histogram("locsched_server_request_seconds",
-			"End-to-end HTTP request latency.", nil),
-		queueWaitSeconds: reg.Histogram("locsched_server_queue_wait_seconds",
-			"Admitted job wait from enqueue to worker dequeue.", nil),
-		coalesceWaitSeconds: reg.Histogram("locsched_server_coalesce_wait_seconds",
-			"Coalesced follower wait from join to shared result.", nil),
-		executionSeconds: reg.Histogram("locsched_server_execution_seconds",
-			"Worker-pool job execution time.", nil),
-		responses: make(map[string]*obs.Counter),
-	}
+	o := &serverObs{reg: obs.NewRegistry(), logger: logger, responses: make(map[string]*obs.Counter)}
+	o.reg.Bind(o)
 	for _, class := range []string{"cold", "cached", "disk", "coalesced", "peer"} {
-		o.responses[class] = reg.Counter("locsched_server_responses_total",
+		o.responses[class] = o.reg.Counter("locsched_server_responses_total",
 			"Served responses by result class (X-Locsched-Result).",
 			obs.L("class", class))
 	}
 	return o
 }
 
-// countResponse records one served response's result class.
-func (o *serverObs) countResponse(class string) {
-	c, ok := o.responses[class]
-	if !ok {
-		c = o.reg.Counter("locsched_server_responses_total",
-			"Served responses by result class (X-Locsched-Result).",
-			obs.L("class", class))
-	}
-	c.Inc()
-}
-
-// registerGauges publishes the queue/coalescer/cache gauges that are
-// sampled from their owners rather than counted, the degraded flag of a
-// configured persistent store (the value /healthz and /statsz read),
-// plus the experiment layer's process-wide cache counters. Called once
-// from New, after the sampled structures exist.
+// registerGauges publishes the queue/coalescer/cache gauges sampled from
+// their owners (/statsz reads them back by name), a configured store's
+// degraded flag, and the experiment layer's process-wide cache counters.
+// Called once from New, after the sampled structures exist.
 func (s *Server) registerGauges() {
 	r := s.obs.reg
 	r.GaugeFunc("locsched_server_queue_depth",
@@ -105,7 +79,7 @@ func (s *Server) registerGauges() {
 				return 0
 			})
 	}
-	experiment.RegisterMetrics(r)
+	obs.Publish(r, experiment.Stats)
 }
 
 // mountObsEndpoints registers /metricsz and (when enabled) the
@@ -161,7 +135,7 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r.WithContext(obs.Into(r.Context(), tr)))
 		d := time.Since(start)
-		s.obs.requestSeconds.Observe(d.Seconds())
+		s.obs.RequestSeconds.Observe(d.Seconds())
 		s.obs.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("trace_id", id),
 			slog.String("method", r.Method),

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"locsched/internal/experiment"
 	"locsched/internal/obs"
+	"locsched/internal/store"
 )
 
 // The observability suite: /statsz keeps its exact JSON contract,
@@ -283,5 +286,131 @@ func TestFleetTracePropagation(t *testing.T) {
 	// The non-owner's span log names the peer-fetch span under the trace.
 	if !strings.Contains(logs[0].String(), `"span":"cache_peer"`) {
 		t.Fatalf("non-owner log lacks cache_peer span:\n%s", logs[0].String())
+	}
+}
+
+// statszSeries maps every numeric /statsz field but uptime_seconds, by
+// its JSON path, to the /metricsz series that holds the same number.
+var statszSeries = map[string]string{
+	"requests":          "locsched_server_requests_total",
+	"cache_hits":        "locsched_cache_memory_hits_total",
+	"coalesced":         "locsched_server_coalesced_total",
+	"executions":        "locsched_server_executions_total",
+	"rejected":          "locsched_server_rejected_total",
+	"timeouts":          "locsched_server_timeouts_total",
+	"coalesce_timeouts": "locsched_server_coalesce_timeouts_total",
+	"disk_hits":         "locsched_cache_disk_hits_total",
+	"disk_writes":       "locsched_store_write_through_total",
+	"peer_hits":         "locsched_fleet_peer_hits_total",
+	"peer_errors":       "locsched_fleet_peer_errors_total",
+	"failures":          "locsched_server_failures_total",
+	"bad_requests":      "locsched_server_bad_requests_total",
+	"queue_depth":       "locsched_server_queue_depth",
+	"queue_cap":         "locsched_server_queue_capacity",
+	"inflight_keys":     "locsched_server_inflight_keys",
+	"result_entries":    "locsched_cache_memory_entries",
+	"result_bytes":      "locsched_cache_memory_bytes",
+
+	"fleet.peer_misses":        "locsched_fleet_peer_misses_total",
+	"fleet.peer_serves":        "locsched_fleet_peer_serves_total",
+	"fleet.replicated_in":      "locsched_fleet_replicated_in_total",
+	"fleet.replicated_out":     "locsched_fleet_replicated_out_total",
+	"fleet.replication_errors": "locsched_fleet_replication_errors_total",
+
+	"persistent_store.store.entries":           "locsched_store_entries",
+	"persistent_store.store.segments":          "locsched_store_segments",
+	"persistent_store.store.disk_bytes":        "locsched_store_disk_bytes",
+	"persistent_store.store.recovered_entries": "locsched_store_recovered_entries",
+	"persistent_store.store.lost_bytes":        "locsched_store_lost_bytes_total",
+	"persistent_store.store.hits":              "locsched_store_hits_total",
+	"persistent_store.store.misses":            "locsched_store_misses_total",
+	"persistent_store.store.writes":            "locsched_store_writes_total",
+	"persistent_store.store.write_errors":      "locsched_store_write_errors_total",
+	"persistent_store.store.dropped_writes":    "locsched_store_dropped_writes_total",
+	"persistent_store.store.read_errors":       "locsched_store_read_errors_total",
+	"persistent_store.store.quarantined":       "locsched_store_quarantined_total",
+	"persistent_store.store.retries":           "locsched_store_retries_total",
+	"persistent_store.store.op_timeouts":       "locsched_store_op_timeouts_total",
+	"persistent_store.store.evicted_segments":  "locsched_store_evicted_segments_total",
+	"persistent_store.store.breaker_trips":     "locsched_store_breaker_trips_total",
+
+	"experiment.MatrixHits":        "locsched_experiment_matrix_hits_total",
+	"experiment.MatrixMisses":      "locsched_experiment_matrix_misses_total",
+	"experiment.LSHits":            "locsched_experiment_ls_hits_total",
+	"experiment.LSMisses":          "locsched_experiment_ls_misses_total",
+	"experiment.LSMHits":           "locsched_experiment_lsm_hits_total",
+	"experiment.LSMMisses":         "locsched_experiment_lsm_misses_total",
+	"experiment.AnalysisEvictions": "locsched_experiment_analysis_evictions_total",
+	"experiment.RunnerPoolHits":    "locsched_experiment_runner_pool_hits_total",
+	"experiment.InternHits":        "locsched_experiment_intern_hits_total",
+}
+
+// numericLeaves flattens a decoded JSON object's numeric leaves into
+// dotted paths.
+func numericLeaves(prefix string, m map[string]any, out map[string]float64) {
+	for k, v := range m {
+		switch v := v.(type) {
+		case float64:
+			out[prefix+k] = v
+		case map[string]any:
+			numericLeaves(prefix+k+".", v, out)
+		}
+	}
+}
+
+// declaredSeries lists the metric tag of every numeric field of struct
+// type typ by its JSON path (the json tag name, or the Go name when the
+// field has none).
+func declaredSeries(prefix string, typ reflect.Type, out map[string]string) {
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if k := f.Type.Kind(); k < reflect.Int || k > reflect.Float64 {
+			continue
+		}
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if key == "" {
+			key = f.Name
+		}
+		out[prefix+key] = f.Tag.Get("metric")
+	}
+}
+
+// TestStatszAgreesWithMetricsz: after the pinned traffic, every numeric
+// /statsz field but the uptime equals its series on the same daemon's
+// /metricsz, across the top level and the fleet, persistent_store.store
+// and experiment sections. Each field's tag must name that series, so a
+// dropped tag cannot hide behind a field whose value is zero.
+func TestStatszAgreesWithMetricsz(t *testing.T) {
+	declared := make(map[string]string)
+	declaredSeries("", reflect.TypeFor[StatsSnapshot](), declared)
+	declaredSeries("fleet.", reflect.TypeFor[FleetSnapshot](), declared)
+	declaredSeries("persistent_store.store.", reflect.TypeFor[store.Stats](), declared)
+	declaredSeries("experiment.", reflect.TypeFor[experiment.CacheStats](), declared)
+	delete(declared, "uptime_seconds")
+	if fmt.Sprint(declared) != fmt.Sprint(statszSeries) {
+		t.Errorf("/statsz field tags:\n got  %v\n want %v", declared, statszSeries)
+	}
+
+	ts := pinnedDaemon(t)
+	var m map[string]any
+	if err := json.Unmarshal([]byte(getText(t, ts.URL+"/statsz")), &m); err != nil {
+		t.Fatal(err)
+	}
+	samples := scrapeMetricsz(t, ts.URL)
+	leaves := make(map[string]float64)
+	numericLeaves("", m, leaves)
+	delete(leaves, "uptime_seconds")
+	if len(leaves) != len(statszSeries) {
+		t.Errorf("/statsz has %d numeric fields, want %d", len(leaves), len(statszSeries))
+	}
+	for path, v := range leaves {
+		name, ok := statszSeries[path]
+		if !ok {
+			t.Errorf("/statsz field %s has no series", path)
+			continue
+		}
+		if got := metricValue(samples, name, "", ""); got != v {
+			t.Errorf("/statsz %s = %v, /metricsz %s = %v", path, v, name, got)
+		}
 	}
 }

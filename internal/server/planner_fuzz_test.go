@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"locsched/internal/mpsoc"
@@ -85,6 +89,47 @@ func FuzzTopologyDecode(f *testing.F) {
 		}
 		if again.Key != job.Key {
 			t.Fatalf("replanning the same body diverged: key %q vs %q", job.Key, again.Key)
+		}
+	})
+}
+
+// FuzzRunRequest fuzzes whole /v1/run bodies, inline task sets included
+// (seed corpus in testdata/fuzz/FuzzRunRequest). The properties under
+// test:
+//
+//   - planning never panics, whatever the body;
+//   - a rejected body is a client error: the daemon's handler answers
+//     it with a 400;
+//   - planning is deterministic — an accepted body plans again to the
+//     same content-addressed key.
+//
+// Accepted bodies are planned, never executed, so the target stays
+// cheap per input.
+func FuzzRunRequest(f *testing.F) {
+	cfg := DefaultConfig()
+	cfg.Scale = 1
+	planner := NewPlanner(cfg)
+	srv, err := New(cfg, planner)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { srv.Shutdown(context.Background()) })
+	f.Fuzz(func(t *testing.T, body []byte) {
+		job, err := planner.Plan("run", body)
+		if err != nil {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("rejected body (%v) answered %d, want 400: %s", err, rec.Code, rec.Body)
+			}
+			return
+		}
+		again, err := planner.Plan("run", body)
+		if err != nil {
+			t.Fatalf("replanning an accepted body failed: %v", err)
+		}
+		if again.Key != job.Key {
+			t.Fatalf("replanning an accepted body diverged: key %q vs %q", job.Key, again.Key)
 		}
 	})
 }

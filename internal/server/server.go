@@ -110,7 +110,7 @@ func New(cfg Config, planner Planner) (*Server, error) {
 		draining: make(chan struct{}),
 		obs:      newServerObs(cfg.Logger),
 	}
-	s.stats = newCounters(s.obs.reg)
+	s.obs.reg.Bind(&s.stats)
 	switch {
 	case cfg.Store != nil:
 		// An injected store opened without Options.Metrics publishes its
@@ -171,17 +171,17 @@ func (s *Server) worker() {
 	defer s.workers.Done()
 	for t := range s.jobs {
 		wait := time.Since(t.enqueued)
-		s.obs.queueWaitSeconds.Observe(wait.Seconds())
+		s.obs.QueueWaitSeconds.Observe(wait.Seconds())
 		t.trace.Event("queue_wait", wait)
 		start := time.Now()
 		body, err := runJob(t.job)
 		elapsed := time.Since(start)
 		cost := elapsed.Nanoseconds()
-		s.obs.executionSeconds.Observe(elapsed.Seconds())
+		s.obs.ExecutionSeconds.Observe(elapsed.Seconds())
 		t.trace.Event("execution", elapsed, slog.Bool("failed", err != nil))
-		s.stats.executions.Add(1)
+		s.stats.Executions.Add(1)
 		if err != nil {
-			s.stats.failures.Add(1)
+			s.stats.Failures.Add(1)
 		} else {
 			s.cache.putCost(t.job.Key, body, cost)
 			sp := t.trace.Start("store_write")
@@ -211,10 +211,10 @@ func (s *Server) replicateToOwner(ctx context.Context, key string, body []byte, 
 	sp.SetAttr(slog.String("owner", owner))
 	defer sp.End()
 	if err := s.peers.Replicate(ctx, owner, key, body, cost); err != nil {
-		s.stats.peerReplErrors.Add(1)
+		s.stats.ReplicationErrors.Add(1)
 		return
 	}
-	s.stats.peerReplOut.Add(1)
+	s.stats.ReplicatedOut.Add(1)
 }
 
 // storePut writes a completed response through to the persistent store,
@@ -225,7 +225,7 @@ func (s *Server) storePut(key string, body []byte, cost int64) {
 		return
 	}
 	if err := s.store.PutCost(key, body, cost); err == nil {
-		s.stats.diskWrites.Add(1)
+		s.stats.DiskWrites.Add(1)
 	}
 }
 
@@ -237,7 +237,7 @@ func (s *Server) storeGet(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	s.stats.diskHits.Add(1)
+	s.stats.DiskHits.Add(1)
 	s.cache.putCost(key, body, cost)
 	return body, true
 }
@@ -282,7 +282,7 @@ func runJob(j *Job) (body []byte, err error) {
 // → result cache → coalescer → bounded queue → wait with deadline.
 func (s *Server) keyedHandler(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.stats.requests.Add(1)
+		s.stats.Requests.Add(1)
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("server: %s requires POST", r.URL.Path))
@@ -290,7 +290,7 @@ func (s *Server) keyedHandler(endpoint string) http.HandlerFunc {
 		}
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 		if err != nil {
-			s.stats.badInput.Add(1)
+			s.stats.BadRequests.Add(1)
 			status := http.StatusBadRequest
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
@@ -304,7 +304,7 @@ func (s *Server) keyedHandler(endpoint string) http.HandlerFunc {
 		job, err := s.planner.Plan(endpoint, body)
 		sp.End()
 		if err != nil {
-			s.stats.badInput.Add(1)
+			s.stats.BadRequests.Add(1)
 			s.writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -315,7 +315,7 @@ func (s *Server) keyedHandler(endpoint string) http.HandlerFunc {
 		sp.SetAttr(slog.Bool("hit", hit))
 		sp.End()
 		if hit {
-			s.stats.cacheHits.Add(1)
+			s.stats.CacheHits.Add(1)
 			s.writeBody(w, "cached", cached)
 			return
 		}
@@ -341,7 +341,7 @@ func (s *Server) keyedHandler(endpoint string) http.HandlerFunc {
 			// followers that attached to this generation.
 			if cached, ok := s.cache.get(job.Key); ok {
 				s.flight.complete(job.Key, c, cached, nil)
-				s.stats.cacheHits.Add(1)
+				s.stats.CacheHits.Add(1)
 				s.writeBody(w, "cached", cached)
 				return
 			}
@@ -372,7 +372,7 @@ func (s *Server) keyedHandler(endpoint string) http.HandlerFunc {
 				s.flight.complete(job.Key, c, nil, errSaturated)
 			}
 		} else {
-			s.stats.coalesced.Add(1)
+			s.stats.Coalesced.Add(1)
 		}
 
 		timeout := s.cfg.RequestTimeout
@@ -389,12 +389,12 @@ func (s *Server) keyedHandler(endpoint string) http.HandlerFunc {
 				// Only followers time this: a leader's wait is already
 				// decomposed into queue wait + execution by the worker.
 				d := time.Since(waitStart)
-				s.obs.coalesceWaitSeconds.Observe(d.Seconds())
+				s.obs.CoalesceWaitSeconds.Observe(d.Seconds())
 				tr.Event("coalesce_wait", d)
 			}
 			switch {
 			case errors.Is(c.err, errSaturated):
-				s.stats.rejected.Add(1)
+				s.stats.Rejected.Add(1)
 				w.Header().Set("Retry-After", "1")
 				s.writeError(w, http.StatusTooManyRequests, c.err)
 			case c.err != nil:
@@ -408,9 +408,9 @@ func (s *Server) keyedHandler(endpoint string) http.HandlerFunc {
 			// coalesced followers are counted separately — they paid a
 			// 504 without ever owning an execution, which is invisible
 			// in the aggregate timeout counter alone.
-			s.stats.timeouts.Add(1)
+			s.stats.Timeouts.Add(1)
 			if !leader {
-				s.stats.coalesceTimeouts.Add(1)
+				s.stats.CoalesceTimeouts.Add(1)
 			}
 			s.writeError(w, http.StatusGatewayTimeout,
 				fmt.Errorf("server: request deadline exceeded after %v (result may be cached on retry)", timeout))
@@ -433,12 +433,12 @@ func (s *Server) peerFetch(ctx context.Context, key string) ([]byte, int64, bool
 	body, cost, err := s.peers.Fetch(ctx, owner, key)
 	switch {
 	case err == nil:
-		s.stats.peerHits.Add(1)
+		s.stats.PeerHits.Add(1)
 		return body, cost, true
 	case errors.Is(err, fleet.ErrNotFound):
-		s.stats.peerMisses.Add(1)
+		s.stats.PeerMisses.Add(1)
 	default:
-		s.stats.peerErrors.Add(1)
+		s.stats.PeerErrors.Add(1)
 	}
 	return nil, 0, false
 }
@@ -477,7 +477,7 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusNotFound, fmt.Errorf("server: no local entry for key"))
 			return
 		}
-		s.stats.peerServes.Add(1)
+		s.stats.PeerServes.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set(fleet.HeaderCRC, fleet.Checksum(body))
 		w.Header().Set(fleet.HeaderCost, strconv.FormatInt(cost, 10))
@@ -499,7 +499,7 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 		}
 		s.cache.putCost(key, body, cost)
 		s.storePut(key, body, cost)
-		s.stats.peerReplIn.Add(1)
+		s.stats.ReplicatedIn.Add(1)
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		w.Header().Set("Allow", "GET, PUT")
@@ -566,7 +566,7 @@ func DecodeReplayMeta(meta []byte) (endpoint string, body []byte, ok bool) {
 
 // writeBody sends canonical response bytes with the served-from class.
 func (s *Server) writeBody(w http.ResponseWriter, served string, body []byte) {
-	s.obs.countResponse(served)
+	s.obs.responses[served].Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(ResultHeader, served)
 	w.WriteHeader(http.StatusOK)

@@ -111,7 +111,7 @@ func TestColdThenCached(t *testing.T) {
 	if n := p.execs.Load(); n != 1 {
 		t.Fatalf("executions = %d, want 1", n)
 	}
-	if hits := s.stats.cacheHits.Value(); hits != 1 {
+	if hits := s.stats.CacheHits.Value(); hits != 1 {
 		t.Fatalf("cache hits = %d, want 1", hits)
 	}
 }
@@ -137,9 +137,9 @@ func TestCoalescedSingleExecution(t *testing.T) {
 	}
 	// Wait until every follower has attached, then release the gate.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.stats.coalesced.Value() < clients-1 {
+	for s.stats.Coalesced.Value() < clients-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d followers coalesced", s.stats.coalesced.Value())
+			t.Fatalf("only %d followers coalesced", s.stats.Coalesced.Value())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -210,8 +210,8 @@ func TestAdmissionControl429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 carries no Retry-After")
 	}
-	if s.stats.rejected.Value() != 1 {
-		t.Errorf("rejected = %d, want 1", s.stats.rejected.Value())
+	if s.stats.Rejected.Value() != 1 {
+		t.Errorf("rejected = %d, want 1", s.stats.Rejected.Value())
 	}
 
 	close(p.gate)
@@ -237,8 +237,8 @@ func TestDeadline504(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", resp.StatusCode)
 	}
-	if s.stats.timeouts.Value() != 1 {
-		t.Errorf("timeouts = %d, want 1", s.stats.timeouts.Value())
+	if s.stats.Timeouts.Value() != 1 {
+		t.Errorf("timeouts = %d, want 1", s.stats.Timeouts.Value())
 	}
 	close(p.gate)
 	// The abandoned execution must still land in the result cache.
@@ -290,13 +290,13 @@ func TestCoalesceTimeoutCounter(t *testing.T) {
 	wg.Wait()
 	close(p.gate)
 
-	if got := s.stats.coalesced.Value(); got != 1 {
+	if got := s.stats.Coalesced.Value(); got != 1 {
 		t.Errorf("coalesced = %d, want 1", got)
 	}
-	if got := s.stats.timeouts.Value(); got != 2 {
+	if got := s.stats.Timeouts.Value(); got != 2 {
 		t.Errorf("timeouts = %d, want 2", got)
 	}
-	if got := s.stats.coalesceTimeouts.Value(); got != 1 {
+	if got := s.stats.CoalesceTimeouts.Value(); got != 1 {
 		t.Errorf("coalesce_timeouts = %d, want 1 (follower only)", got)
 	}
 }
@@ -338,8 +338,8 @@ func TestPanicRecovered(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(b), "panicked") {
 		t.Fatalf("panicking job: status %d body %q, want 500 mentioning the panic", resp.StatusCode, b)
 	}
-	if s.stats.failures.Value() != 1 {
-		t.Errorf("failures = %d, want 1", s.stats.failures.Value())
+	if s.stats.Failures.Value() != 1 {
+		t.Errorf("failures = %d, want 1", s.stats.Failures.Value())
 	}
 	p.panics = false
 	resp, _ = postBody(t, ts.URL+"/v1/run", `{"after":1}`)

@@ -8,55 +8,30 @@ import (
 	"locsched/internal/store"
 )
 
-// counters holds the daemon's operational counters. Each field is a
-// registry-registered obs.Counter, so /statsz and /metricsz read the
-// very same atomics — one source of truth, no read-vs-update skew
-// between the two surfaces. Gauges (queue depth, in-flight) are sampled
-// from their owners at snapshot time instead of being tracked here.
+// counters holds the daemon's request-path counters. Each field is a
+// registry-registered obs.Counter declared by its tag (obs.Bind), so
+// /metricsz renders these very atomics and /statsz reads them back from
+// the registry by the same names. Gauges (queue depth, in-flight) are
+// sampled from their owners by registerGauges instead.
 type counters struct {
-	requests         *obs.Counter // every request on a keyed endpoint
-	cacheHits        *obs.Counter // served verbatim from the result cache
-	diskHits         *obs.Counter // served verified from the persistent store
-	diskWrites       *obs.Counter // responses written through to the store
-	coalesced        *obs.Counter // attached to an identical in-flight execution
-	executions       *obs.Counter // jobs actually run by the worker pool
-	rejected         *obs.Counter // 429s from admission control
-	timeouts         *obs.Counter // 504s from per-request deadlines
-	coalesceTimeouts *obs.Counter // 504s on coalesced followers specifically
-	failures         *obs.Counter // executions that returned an error
-	badInput         *obs.Counter // 400s from unparsable/unresolvable requests
-	peerHits         *obs.Counter // served verified bytes fetched from the owner replica
-	peerMisses       *obs.Counter // clean peer misses (owner answered 404; recomputed locally)
-	peerErrors       *obs.Counter // failed peer fetches (down/slow/corrupt; recomputed locally)
-	peerServes       *obs.Counter // peer GETs this replica answered with bytes
-	peerReplIn       *obs.Counter // entries replicated into this replica by peers
-	peerReplOut      *obs.Counter // entries this replica replicated to their owners
-	peerReplErrors   *obs.Counter // failed outbound replications (best-effort, dropped)
-}
-
-// newCounters registers the daemon counters on r under their
-// locsched_<layer>_<name>_total exposition names.
-func newCounters(r *obs.Registry) counters {
-	return counters{
-		requests:         r.Counter("locsched_server_requests_total", "Keyed-endpoint requests (run/figure/analysis)."),
-		cacheHits:        r.Counter("locsched_cache_memory_hits_total", "Responses served verbatim from the in-memory result cache."),
-		diskHits:         r.Counter("locsched_cache_disk_hits_total", "Responses served verified from the persistent store."),
-		diskWrites:       r.Counter("locsched_store_write_through_total", "Responses successfully written through to the persistent store."),
-		coalesced:        r.Counter("locsched_server_coalesced_total", "Requests attached to an identical in-flight execution."),
-		executions:       r.Counter("locsched_server_executions_total", "Jobs actually run by the worker pool."),
-		rejected:         r.Counter("locsched_server_rejected_total", "429 admission-control rejections."),
-		timeouts:         r.Counter("locsched_server_timeouts_total", "504 per-request deadline expiries."),
-		coalesceTimeouts: r.Counter("locsched_server_coalesce_timeouts_total", "504s suffered by coalesced followers specifically."),
-		failures:         r.Counter("locsched_server_failures_total", "Executions that returned an error."),
-		badInput:         r.Counter("locsched_server_bad_requests_total", "400s from unparsable or unresolvable requests."),
-		peerHits:         r.Counter("locsched_fleet_peer_hits_total", "Responses served from verified peer-fetched bytes."),
-		peerMisses:       r.Counter("locsched_fleet_peer_misses_total", "Clean peer misses (owner answered 404; recomputed locally)."),
-		peerErrors:       r.Counter("locsched_fleet_peer_errors_total", "Failed peer fetches (down/slow/corrupt; recomputed locally)."),
-		peerServes:       r.Counter("locsched_fleet_peer_serves_total", "Peer GETs this replica answered with bytes."),
-		peerReplIn:       r.Counter("locsched_fleet_replicated_in_total", "Entries replicated into this replica by peers."),
-		peerReplOut:      r.Counter("locsched_fleet_replicated_out_total", "Entries this replica replicated to their owners."),
-		peerReplErrors:   r.Counter("locsched_fleet_replication_errors_total", "Failed outbound replications (best-effort, dropped)."),
-	}
+	Requests          *obs.Counter `metric:"locsched_server_requests_total" help:"Keyed-endpoint requests (run/figure/analysis)."`
+	CacheHits         *obs.Counter `metric:"locsched_cache_memory_hits_total" help:"Responses served verbatim from the in-memory result cache."`
+	DiskHits          *obs.Counter `metric:"locsched_cache_disk_hits_total" help:"Responses served verified from the persistent store."`
+	DiskWrites        *obs.Counter `metric:"locsched_store_write_through_total" help:"Responses successfully written through to the persistent store."`
+	Coalesced         *obs.Counter `metric:"locsched_server_coalesced_total" help:"Requests attached to an identical in-flight execution."`
+	Executions        *obs.Counter `metric:"locsched_server_executions_total" help:"Jobs actually run by the worker pool."`
+	Rejected          *obs.Counter `metric:"locsched_server_rejected_total" help:"429 admission-control rejections."`
+	Timeouts          *obs.Counter `metric:"locsched_server_timeouts_total" help:"504 per-request deadline expiries."`
+	CoalesceTimeouts  *obs.Counter `metric:"locsched_server_coalesce_timeouts_total" help:"504s suffered by coalesced followers specifically."`
+	Failures          *obs.Counter `metric:"locsched_server_failures_total" help:"Executions that returned an error."`
+	BadRequests       *obs.Counter `metric:"locsched_server_bad_requests_total" help:"400s from unparsable or unresolvable requests."`
+	PeerHits          *obs.Counter `metric:"locsched_fleet_peer_hits_total" help:"Responses served from verified peer-fetched bytes."`
+	PeerMisses        *obs.Counter `metric:"locsched_fleet_peer_misses_total" help:"Clean peer misses (owner answered 404; recomputed locally)."`
+	PeerErrors        *obs.Counter `metric:"locsched_fleet_peer_errors_total" help:"Failed peer fetches (down/slow/corrupt; recomputed locally)."`
+	PeerServes        *obs.Counter `metric:"locsched_fleet_peer_serves_total" help:"Peer GETs this replica answered with bytes."`
+	ReplicatedIn      *obs.Counter `metric:"locsched_fleet_replicated_in_total" help:"Entries replicated into this replica by peers."`
+	ReplicatedOut     *obs.Counter `metric:"locsched_fleet_replicated_out_total" help:"Entries this replica replicated to their owners."`
+	ReplicationErrors *obs.Counter `metric:"locsched_fleet_replication_errors_total" help:"Failed outbound replications (best-effort, dropped)."`
 }
 
 // StoreSnapshot is the persistent tier's /statsz section.
@@ -87,17 +62,17 @@ type FleetSnapshot struct {
 	Members []string `json:"members,omitempty"`
 	// PeerMisses counts clean owner misses (404) that fell through to
 	// local recompute.
-	PeerMisses int64 `json:"peer_misses"`
+	PeerMisses int64 `json:"peer_misses" metric:"locsched_fleet_peer_misses_total"`
 	// PeerServes counts peer GETs this replica answered with bytes.
-	PeerServes int64 `json:"peer_serves"`
+	PeerServes int64 `json:"peer_serves" metric:"locsched_fleet_peer_serves_total"`
 	// ReplicatedIn counts entries peers replicated into this replica.
-	ReplicatedIn int64 `json:"replicated_in"`
+	ReplicatedIn int64 `json:"replicated_in" metric:"locsched_fleet_replicated_in_total"`
 	// ReplicatedOut counts entries this replica wrote through to their
 	// owners.
-	ReplicatedOut int64 `json:"replicated_out"`
+	ReplicatedOut int64 `json:"replicated_out" metric:"locsched_fleet_replicated_out_total"`
 	// ReplicationErrors counts failed outbound replications (dropped;
 	// best-effort by design).
-	ReplicationErrors int64 `json:"replication_errors"`
+	ReplicationErrors int64 `json:"replication_errors" metric:"locsched_fleet_replication_errors_total"`
 }
 
 // StatsSnapshot is the /statsz response: the daemon's request counters,
@@ -107,49 +82,49 @@ type StatsSnapshot struct {
 	// UptimeSeconds is time since the server was built.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Requests counts keyed-endpoint requests (run/figure/analysis).
-	Requests int64 `json:"requests"`
+	Requests int64 `json:"requests" metric:"locsched_server_requests_total"`
 	// CacheHits counts responses served verbatim from the result cache.
-	CacheHits int64 `json:"cache_hits"`
+	CacheHits int64 `json:"cache_hits" metric:"locsched_cache_memory_hits_total"`
 	// Coalesced counts requests attached to an in-flight execution.
-	Coalesced int64 `json:"coalesced"`
+	Coalesced int64 `json:"coalesced" metric:"locsched_server_coalesced_total"`
 	// Executions counts jobs the worker pool actually ran.
-	Executions int64 `json:"executions"`
+	Executions int64 `json:"executions" metric:"locsched_server_executions_total"`
 	// Rejected counts 429 admission-control rejections.
-	Rejected int64 `json:"rejected"`
+	Rejected int64 `json:"rejected" metric:"locsched_server_rejected_total"`
 	// Timeouts counts 504 deadline expiries.
-	Timeouts int64 `json:"timeouts"`
+	Timeouts int64 `json:"timeouts" metric:"locsched_server_timeouts_total"`
 	// CoalesceTimeouts counts the subset of Timeouts suffered by
 	// coalesced followers — requests that attached to another request's
 	// execution and still saw their own deadline expire.
-	CoalesceTimeouts int64 `json:"coalesce_timeouts"`
+	CoalesceTimeouts int64 `json:"coalesce_timeouts" metric:"locsched_server_coalesce_timeouts_total"`
 	// DiskHits counts responses served verified from the persistent
 	// store (misses in memory, found on disk).
-	DiskHits int64 `json:"disk_hits"`
+	DiskHits int64 `json:"disk_hits" metric:"locsched_cache_disk_hits_total"`
 	// DiskWrites counts responses successfully written through to the
 	// persistent store.
-	DiskWrites int64 `json:"disk_writes"`
+	DiskWrites int64 `json:"disk_writes" metric:"locsched_store_write_through_total"`
 	// PeerHits counts responses served from verified peer-fetched bytes
 	// (misses everywhere locally, found on the owner replica).
-	PeerHits int64 `json:"peer_hits"`
+	PeerHits int64 `json:"peer_hits" metric:"locsched_fleet_peer_hits_total"`
 	// PeerErrors counts peer fetches that failed (peer down, deadline,
 	// corrupt bytes) and degraded to local recompute. A clean 404 miss is
 	// not an error; see the fleet section's PeerMisses.
-	PeerErrors int64 `json:"peer_errors"`
+	PeerErrors int64 `json:"peer_errors" metric:"locsched_fleet_peer_errors_total"`
 	// Failures counts executions that returned an error.
-	Failures int64 `json:"failures"`
+	Failures int64 `json:"failures" metric:"locsched_server_failures_total"`
 	// BadRequests counts 400 responses.
-	BadRequests int64 `json:"bad_requests"`
+	BadRequests int64 `json:"bad_requests" metric:"locsched_server_bad_requests_total"`
 	// QueueDepth is the number of jobs waiting in the queue now.
-	QueueDepth int `json:"queue_depth"`
+	QueueDepth int `json:"queue_depth" metric:"locsched_server_queue_depth"`
 	// QueueCap is the configured queue bound.
-	QueueCap int `json:"queue_cap"`
+	QueueCap int `json:"queue_cap" metric:"locsched_server_queue_capacity"`
 	// InflightKeys is the number of distinct keys currently executing or
 	// queued (the coalescer's pending set).
-	InflightKeys int `json:"inflight_keys"`
+	InflightKeys int `json:"inflight_keys" metric:"locsched_server_inflight_keys"`
 	// ResultEntries is the result cache's current entry count.
-	ResultEntries int `json:"result_entries"`
+	ResultEntries int `json:"result_entries" metric:"locsched_cache_memory_entries"`
 	// ResultBytes is the result cache's current stored byte total.
-	ResultBytes int64 `json:"result_bytes"`
+	ResultBytes int64 `json:"result_bytes" metric:"locsched_cache_memory_bytes"`
 	// Store is the persistent tier's section: whether it is enabled,
 	// whether it is degraded, and the store's own counters.
 	Store StoreSnapshot `json:"persistent_store"`
@@ -162,30 +137,14 @@ type StatsSnapshot struct {
 	Experiment experiment.CacheStats `json:"experiment"`
 }
 
-// snapshot assembles the current statistics.
+// snapshot assembles the current statistics: every tagged field is read
+// from the registry series it names.
 func (s *Server) snapshot() StatsSnapshot {
 	snap := StatsSnapshot{
-		UptimeSeconds:    time.Since(s.started).Seconds(),
-		Requests:         s.stats.requests.Value(),
-		CacheHits:        s.stats.cacheHits.Value(),
-		CoalesceTimeouts: s.stats.coalesceTimeouts.Value(),
-		DiskHits:         s.stats.diskHits.Value(),
-		DiskWrites:       s.stats.diskWrites.Value(),
-		PeerHits:         s.stats.peerHits.Value(),
-		PeerErrors:       s.stats.peerErrors.Value(),
-		Coalesced:        s.stats.coalesced.Value(),
-		Executions:       s.stats.executions.Value(),
-		Rejected:         s.stats.rejected.Value(),
-		Timeouts:         s.stats.timeouts.Value(),
-		Failures:         s.stats.failures.Value(),
-		BadRequests:      s.stats.badInput.Value(),
-		QueueDepth:       len(s.jobs),
-		QueueCap:         cap(s.jobs),
-		InflightKeys:     s.flight.pending(),
-		ResultEntries:    s.cache.len(),
-		ResultBytes:      s.cache.size(),
-		Experiment:       experiment.Stats(),
+		UptimeSeconds: time.Since(s.started).Seconds(),
+		Experiment:    experiment.Stats(),
 	}
+	s.obs.reg.Fill(&snap)
 	snap.Store.Enabled = s.store != nil || s.storeErr != nil
 	snap.Store.Degraded = s.storeDegraded()
 	if s.storeErr != nil {
@@ -195,16 +154,8 @@ func (s *Server) snapshot() StatsSnapshot {
 		snap.Store.Store = s.store.Stats()
 	}
 	if s.ring != nil {
-		snap.Fleet = FleetSnapshot{
-			Enabled:           true,
-			Self:              s.ring.Self(),
-			Members:           s.ring.Members(),
-			PeerMisses:        s.stats.peerMisses.Value(),
-			PeerServes:        s.stats.peerServes.Value(),
-			ReplicatedIn:      s.stats.peerReplIn.Value(),
-			ReplicatedOut:     s.stats.peerReplOut.Value(),
-			ReplicationErrors: s.stats.peerReplErrors.Value(),
-		}
+		snap.Fleet = FleetSnapshot{Enabled: true, Self: s.ring.Self(), Members: s.ring.Members()}
+		s.obs.reg.Fill(&snap.Fleet)
 	}
 	return snap
 }

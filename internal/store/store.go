@@ -177,45 +177,46 @@ type counts struct {
 }
 
 // Stats is a point-in-time snapshot of a store's gauges and counters,
-// served by locschedd's /statsz.
+// served by locschedd's /statsz. Each numeric field's tag declares the
+// /metricsz series that publishes it (RegisterMetrics).
 type Stats struct {
 	// Entries is the current indexed entry count.
-	Entries int `json:"entries"`
+	Entries int `json:"entries" metric:"locsched_store_entries" help:"Currently indexed entry count."`
 	// Segments is the current segment file count.
-	Segments int `json:"segments"`
+	Segments int `json:"segments" metric:"locsched_store_segments" help:"Current segment file count."`
 	// DiskBytes is the total indexed segment byte size.
-	DiskBytes int64 `json:"disk_bytes"`
+	DiskBytes int64 `json:"disk_bytes" metric:"locsched_store_disk_bytes" help:"Total indexed segment bytes on disk."`
 	// Recovered is the entry count rebuilt from disk at Open.
-	Recovered int `json:"recovered_entries"`
+	Recovered int `json:"recovered_entries" metric:"locsched_store_recovered_entries" help:"Entries rebuilt from disk at Open."`
 	// LostBytes counts segment tail bytes discarded at Open (torn writes
 	// or unscannable regions after a corrupted header).
-	LostBytes int64 `json:"lost_bytes"`
+	LostBytes int64 `json:"lost_bytes" metric:"locsched_store_lost_bytes_total" help:"Segment tail bytes discarded during crash recovery at Open."`
 	// Hits counts reads served with verified bytes.
-	Hits int64 `json:"hits"`
+	Hits int64 `json:"hits" metric:"locsched_store_hits_total" help:"Reads served with verified bytes."`
 	// Misses counts reads with no (servable) entry.
-	Misses int64 `json:"misses"`
+	Misses int64 `json:"misses" metric:"locsched_store_misses_total" help:"Reads with no servable entry."`
 	// Writes counts successfully appended records.
-	Writes int64 `json:"writes"`
+	Writes int64 `json:"writes" metric:"locsched_store_writes_total" help:"Successfully appended records."`
 	// WriteErrors counts appends that failed after all retries.
-	WriteErrors int64 `json:"write_errors"`
+	WriteErrors int64 `json:"write_errors" metric:"locsched_store_write_errors_total" help:"Appends that failed after all retries."`
 	// DroppedWrites counts writes skipped while the breaker was open.
-	DroppedWrites int64 `json:"dropped_writes"`
+	DroppedWrites int64 `json:"dropped_writes" metric:"locsched_store_dropped_writes_total" help:"Writes skipped while the circuit breaker was open."`
 	// ReadErrors counts reads that failed after all retries.
-	ReadErrors int64 `json:"read_errors"`
+	ReadErrors int64 `json:"read_errors" metric:"locsched_store_read_errors_total" help:"Reads that failed after all retries."`
 	// Quarantined counts entries removed because their bytes were
 	// corrupt or unreadable (at Open scan or at read time).
-	Quarantined int64 `json:"quarantined"`
+	Quarantined int64 `json:"quarantined" metric:"locsched_store_quarantined_total" help:"Entries dropped because their bytes were corrupt or unreadable."`
 	// Retries counts re-attempted I/O operations.
-	Retries int64 `json:"retries"`
+	Retries int64 `json:"retries" metric:"locsched_store_retries_total" help:"Re-attempted I/O operations."`
 	// OpTimeouts counts operation attempts abandoned at the per-op
 	// timeout.
-	OpTimeouts int64 `json:"op_timeouts"`
+	OpTimeouts int64 `json:"op_timeouts" metric:"locsched_store_op_timeouts_total" help:"Operation attempts abandoned at the per-operation timeout."`
 	// EvictedSegments counts whole segments evicted by the byte budget.
-	EvictedSegments int64 `json:"evicted_segments"`
+	EvictedSegments int64 `json:"evicted_segments" metric:"locsched_store_evicted_segments_total" help:"Whole segments evicted by the byte budget."`
 	// Breaker is the circuit breaker state: closed, open, or half-open.
 	Breaker string `json:"breaker"`
 	// BreakerTrips counts closed/half-open → open transitions.
-	BreakerTrips int64 `json:"breaker_trips"`
+	BreakerTrips int64 `json:"breaker_trips" metric:"locsched_store_breaker_trips_total" help:"Circuit breaker transitions into the open state."`
 }
 
 // Store is the disk-backed content-keyed result store. A Store assumes
@@ -333,9 +334,8 @@ func Open(dir string, opts Options) (*Store, error) {
 // without one calls it with its own registry. It does nothing for a nil
 // r (no instrumentation — the standalone/test path) or when the series
 // are already registered. Call it before the store is shared between
-// goroutines: it installs the operation timers. The func-backed series
-// read the same atomics /statsz snapshots, so the two surfaces can
-// never disagree.
+// goroutines: it installs the operation timers. The other series but
+// the breaker state are Stats' tagged fields (obs.Publish).
 func (s *Store) RegisterMetrics(r *obs.Registry) {
 	if r == nil || s.getHist != nil {
 		return
@@ -355,62 +355,7 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 			}
 			return 0
 		})
-	r.CounterFunc("locsched_store_breaker_trips_total",
-		"Circuit breaker transitions into the open state.", func() float64 {
-			_, trips := s.brk.snapshot()
-			return float64(trips)
-		})
-	r.CounterFunc("locsched_store_quarantined_total",
-		"Entries dropped because their bytes were corrupt or unreadable.",
-		func() float64 { return float64(s.c.quarantined.Load()) })
-	r.CounterFunc("locsched_store_lost_bytes_total",
-		"Segment tail bytes discarded during crash recovery at Open.",
-		func() float64 { return float64(s.lostBytes) })
-	r.CounterFunc("locsched_store_hits_total",
-		"Reads served with verified bytes.",
-		func() float64 { return float64(s.c.hits.Load()) })
-	r.CounterFunc("locsched_store_misses_total",
-		"Reads with no servable entry.",
-		func() float64 { return float64(s.c.misses.Load()) })
-	r.CounterFunc("locsched_store_writes_total",
-		"Successfully appended records.",
-		func() float64 { return float64(s.c.writes.Load()) })
-	r.GaugeFunc("locsched_store_entries",
-		"Currently indexed entry count.",
-		func() float64 { return float64(s.Len()) })
-	r.GaugeFunc("locsched_store_disk_bytes",
-		"Total indexed segment bytes on disk.", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.total)
-		})
-	r.GaugeFunc("locsched_store_segments",
-		"Current segment file count.", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(len(s.segIDs))
-		})
-	r.GaugeFunc("locsched_store_recovered_entries",
-		"Entries rebuilt from disk at Open.",
-		func() float64 { return float64(s.recovered) })
-	r.CounterFunc("locsched_store_retries_total",
-		"Re-attempted I/O operations.",
-		func() float64 { return float64(s.c.retries.Load()) })
-	r.CounterFunc("locsched_store_write_errors_total",
-		"Appends that failed after all retries.",
-		func() float64 { return float64(s.c.writeErrors.Load()) })
-	r.CounterFunc("locsched_store_dropped_writes_total",
-		"Writes skipped while the circuit breaker was open.",
-		func() float64 { return float64(s.c.droppedWrites.Load()) })
-	r.CounterFunc("locsched_store_read_errors_total",
-		"Reads that failed after all retries.",
-		func() float64 { return float64(s.c.readErrors.Load()) })
-	r.CounterFunc("locsched_store_op_timeouts_total",
-		"Operation attempts abandoned at the per-operation timeout.",
-		func() float64 { return float64(s.c.opTimeouts.Load()) })
-	r.CounterFunc("locsched_store_evicted_segments_total",
-		"Whole segments evicted by the byte budget.",
-		func() float64 { return float64(s.c.evicted.Load()) })
+	obs.Publish(r, s.Stats)
 }
 
 // observeOp records one operation latency on h; nil h (metrics disabled)
