@@ -41,25 +41,22 @@ func (r *Registry) Bind(p any) {
 	})
 }
 
-// Publish registers a func series for every tagged numeric field of the
-// struct T; each scrape reads the field from a fresh snap(). A subsystem
-// that keeps its own counters publishes its Stats snapshot this way,
-// with no per-field mirror.
+// Publish registers a func series for every tagged integer or float
+// field of the struct T; each scrape reads the field from a fresh
+// snap(). A subsystem that keeps its own counters publishes its Stats
+// snapshot this way, with no per-field mirror.
 func Publish[T any](r *Registry, snap func() T) {
 	t := reflect.TypeFor[T]()
 	tagged(t, func(i int, name, help string) {
-		if k := t.Field(i).Type.Kind(); k < reflect.Int || k > reflect.Float64 {
-			panic(fmt.Sprintf("obs: Publish: field %s of %q is not numeric", t.Field(i).Name, name))
+		if k := t.Field(i).Type.Kind(); (k < reflect.Int || k > reflect.Int64) && k != reflect.Float32 && k != reflect.Float64 {
+			panic(fmt.Sprintf("obs: Publish: field %s of %q is not an integer or float", t.Field(i).Name, name))
 		}
 		read := func() float64 {
-			switch f := reflect.ValueOf(snap()).Field(i); {
-			case f.CanInt():
+			f := reflect.ValueOf(snap()).Field(i)
+			if f.CanInt() {
 				return float64(f.Int())
-			case f.CanUint():
-				return float64(f.Uint())
-			default:
-				return f.Float()
 			}
+			return f.Float()
 		}
 		if strings.HasSuffix(name, "_total") {
 			r.CounterFunc(name, help, read)
@@ -69,9 +66,10 @@ func Publish[T any](r *Registry, snap func() T) {
 	})
 }
 
-// Fill sets every tagged numeric field of the struct p points to from
-// the registry's unlabelled series of the same name. It panics on a name
-// the registry does not hold, so a misspelled tag fails loudly.
+// Fill sets every tagged integer or float field of the struct p points
+// to from the registry's unlabelled series of the same name. It panics
+// on a name the registry does not hold, so a misspelled tag fails
+// loudly.
 func (r *Registry) Fill(p any) {
 	v := reflect.ValueOf(p).Elem()
 	tagged(v.Type(), func(i int, name, _ string) {
@@ -79,12 +77,9 @@ func (r *Registry) Fill(p any) {
 		if !ok {
 			panic(fmt.Sprintf("obs: Fill: no series %q", name))
 		}
-		switch f := v.Field(i); {
-		case f.CanInt():
+		if f := v.Field(i); f.CanInt() {
 			f.SetInt(int64(x))
-		case f.CanUint():
-			f.SetUint(uint64(x))
-		default:
+		} else {
 			f.SetFloat(x)
 		}
 	})

@@ -21,7 +21,7 @@ func TestTaggedFields(t *testing.T) {
 	}
 	type stats struct {
 		Depth int     `metric:"t_depth" help:"Depth."`
-		Bytes uint32  `metric:"t_bytes_total" help:"Bytes."`
+		Bytes int32   `metric:"t_bytes_total" help:"Bytes."`
 		Ratio float64 `metric:"t_ratio" help:"Ratio."`
 		Name  string
 	}
@@ -45,7 +45,7 @@ func TestTaggedFields(t *testing.T) {
 	var got struct {
 		Hits  int64   `metric:"t_hits_total"`
 		Depth int     `metric:"t_depth"`
-		Bytes uint64  `metric:"t_bytes_total"`
+		Bytes int64   `metric:"t_bytes_total"`
 		Ratio float64 `metric:"t_ratio"`
 		Other int
 	}
@@ -69,6 +69,12 @@ func TestTaggedFieldsPanic(t *testing.T) {
 		"Publish of a string": func() {
 			type s struct {
 				X string `metric:"t_s"`
+			}
+			Publish(r, func() s { return s{} })
+		},
+		"Publish of an unsigned integer": func() {
+			type s struct {
+				X uint64 `metric:"t_u"`
 			}
 			Publish(r, func() s { return s{} })
 		},

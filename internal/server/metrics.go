@@ -13,8 +13,9 @@ import (
 // serverObs bundles one server's observability state: its metrics
 // registry (served at /metricsz), the structured logger behind access
 // and span records, and the latency histograms on the request path,
-// each declared by its tag (obs.Bind). Every instrument lives on the
-// per-server registry, so embedded and test servers never share series.
+// each declared by its tag (obs.Bind, hence exported). Every instrument
+// lives on the per-server registry, so embedded and test servers never
+// share series.
 type serverObs struct {
 	// reg is the server's metrics registry, rendered at /metricsz.
 	reg *obs.Registry

@@ -9,10 +9,11 @@ import (
 )
 
 // counters holds the daemon's request-path counters. Each field is a
-// registry-registered obs.Counter declared by its tag (obs.Bind), so
-// /metricsz renders these very atomics and /statsz reads them back from
-// the registry by the same names. Gauges (queue depth, in-flight) are
-// sampled from their owners by registerGauges instead.
+// registry-registered obs.Counter declared by its tag (obs.Bind, which
+// can only set exported fields), so /metricsz renders these very atomics
+// and /statsz reads them back from the registry by the same names.
+// Gauges (queue depth, in-flight) are sampled from their owners by
+// registerGauges instead.
 type counters struct {
 	Requests          *obs.Counter `metric:"locsched_server_requests_total" help:"Keyed-endpoint requests (run/figure/analysis)."`
 	CacheHits         *obs.Counter `metric:"locsched_cache_memory_hits_total" help:"Responses served verbatim from the in-memory result cache."`
