@@ -146,8 +146,8 @@ func BenchmarkFigure7XL(b *testing.B) {
 // BenchmarkXLLadderByPolicy measures one cell of the extended 128–1024
 // core ladder per policy SKU under both segment executors: seq is the
 // inline executor, par4 the pooled epoch-barrier executor at 4 workers
-// (clamped to GOMAXPROCS, so on a single-CPU host it degenerates to the
-// async machinery with one worker — the overhead bound, not a speedup).
+// (clamped to GOMAXPROCS, so on a 2-CPU host it is the loop and one
+// helper, and on a single-CPU host it is the inline executor again).
 // The two report identical simms/run and miss% by construction; the
 // wall-clock ratio per RS/RRS/LS/LSM/ARR cell is the per-policy speedup
 // table of PERFORMANCE.md. CI's bench smoke runs the 128c rung (the
@@ -164,6 +164,7 @@ func BenchmarkXLLadderByPolicy(b *testing.B) {
 					cfg := benchConfig()
 					cfg.Machine.Cores = pt.Cores
 					cfg.Workers = 1
+					cfg.SimWorkers = 1
 					if engine == "par4" {
 						cfg.SimWorkers = 4
 					}

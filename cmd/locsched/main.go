@@ -60,9 +60,10 @@
 //	-missrates     also print miss-rate/conflict tables for fig6, fig7, fig7xl
 //	-json          emit fig6/fig7/fig7xl as JSON instead of tables
 //	-par N         worker pool size for figure/sweep cells (default GOMAXPROCS)
-//	-simpar N      intra-run engine workers per cell (default 0 = inline
-//	               executor; any value yields bit-identical results, and the
-//	               par×simpar product is clamped to the GOMAXPROCS budget)
+//	-simpar N      goroutines one cell's simulation uses, its event loop
+//	               included (default 0 = GOMAXPROCS; 1 = serial); any value
+//	               yields bit-identical results, and the par×simpar product
+//	               is clamped to the GOMAXPROCS budget
 //	-xlpoints S    fig7xl ladder as cores:tasks pairs (default "32:8,64:16,128:32")
 //	-xlmax N       fig7xl doubling ladder 32..N cores (overrides -xlpoints; try 512 or 1024)
 //	-xlsizes S     sweepxl cache sizes in KB (default "4,8,16,32")
@@ -151,7 +152,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	missrates := fs.Bool("missrates", false, "also print miss-rate tables")
 	jsonOut := fs.Bool("json", false, "emit fig6/fig7/fig7xl as JSON instead of tables")
 	par := fs.Int("par", 0, "worker pool size for figure/sweep cells (0 = GOMAXPROCS, 1 = sequential)")
-	simpar := fs.Int("simpar", 0, "intra-run engine workers per cell (0 = inline executor; results identical at any value; clamped so par*simpar fits GOMAXPROCS)")
+	simpar := fs.Int("simpar", 0, "goroutines per cell's simulation, event loop included (0 = default GOMAXPROCS, 1 = serial; results identical at any value; clamped so par*simpar fits GOMAXPROCS)")
 	xlPoints := fs.String("xlpoints", "32:8,64:16,128:32", "fig7xl ladder as comma-separated cores:tasks pairs")
 	xlMax := fs.Int("xlmax", 0, "fig7xl doubling ladder 32..N cores (overrides -xlpoints; 0 = use -xlpoints)")
 	xlSizes := fs.String("xlsizes", "4,8,16,32", "sweepxl cache sizes in KB, comma-separated")

@@ -553,13 +553,6 @@ func (s *shadowLRU) find(block int64) (int32, *int32) {
 	return n, h
 }
 
-// resident reports whether block is in the directory, without touching
-// recency.
-func (s *shadowLRU) resident(block int64) bool {
-	n, _ := s.find(block)
-	return n >= 0
-}
-
 // mruPrefixIs reports whether the directory's most-recent entries are
 // exactly blocks[R-1], …, blocks[0] — the state one access pass over a
 // duplicate-free blocks slice leaves behind. A replay pass from that

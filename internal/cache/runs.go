@@ -53,8 +53,8 @@ func (c *Cache) AccessRun(addr int64, count int64, write bool) (class MissClass,
 // hit counters grow by iters·R, the tick advances likewise, each line's
 // recency becomes the tick of its last touch in the final iteration, and
 // write references mark their lines dirty (no evictions occur, so no
-// writebacks). The shadow directory again needs no update: after any full
-// all-hit iteration the group's shadow order equals the order the
+// writebacks). The shadow directory takes a single replay pass: after
+// any full iteration the group's shadow order equals the order the
 // previous iteration left behind. Returns true on success; if any block
 // is not resident the cache is left untouched and the caller must
 // simulate per access.
@@ -64,8 +64,7 @@ func (c *Cache) AccessRun(addr int64, count int64, write bool) (class MissClass,
 // when unknown. A hint whose line still holds its block spares the set
 // scan; any other is resolved by the scan, and lines is left holding
 // every resolved index. When the shadow's most recent entries already
-// are the group in touch order, every block is shadow-resident and the
-// per-block shadow probe is skipped too.
+// are the group in touch order, the shadow replay is skipped too.
 //
 // blocks may contain duplicates (two references in one block); the later
 // reference's recency wins, exactly as per-access simulation would have
@@ -85,31 +84,21 @@ func (c *Cache) TryAccessHitIters(blocks, lines []int64, writes []bool, iters in
 		}
 		lines[j] = li
 	}
-	// With classification on, every block must also be resident in the
-	// fully-associative shadow: a block can survive in its set while the
-	// shadow's global LRU has evicted it, and per-access replay would
-	// then re-insert it (evicting the shadow tail). One per-access
-	// iteration re-establishes shadow residency, so the caller's next
-	// attempt succeeds.
-	//
-	// Per-access simulation would move each block to shadow-MRU every
-	// iteration, leaving the group in touch order at the top after each
-	// full iteration — so one replay pass equals iters passes. The pass
-	// cannot blindly be skipped: the caller may arrive with a
-	// partially-replayed iteration's order (e.g. after a process resumed
-	// mid-iteration on this core), and the bulk update must end in the
-	// exact state per-access simulation would reach. It can be skipped
-	// exactly when the MRU prefix already equals the replay's final
-	// order (mruPrefixIs), which is the steady state of consecutive
-	// spans over the same group.
+	// With classification on, per-access simulation would move each
+	// block to shadow-MRU every iteration — re-inserting, over the
+	// shadow's LRU tail, a block that survived in its set but not in the
+	// shadow's global LRU. After one pass the shadow holds the group's
+	// most recent touches in order on top of whatever older entries still
+	// fit, and a further pass re-fronts exactly those entries, evicting
+	// nothing: one replay pass equals iters passes, shadow-resident
+	// blocks or not. The pass cannot blindly be skipped: the caller may
+	// arrive with a partially-replayed iteration's order (e.g. after a
+	// process resumed mid-iteration on this core), and the bulk update
+	// must end in the exact state per-access simulation would reach. It
+	// can be skipped exactly when the MRU prefix already equals the
+	// replay's final order (mruPrefixIs), which is the steady state of
+	// consecutive spans over the same group.
 	replay := c.shadow != nil && !c.shadow.mruPrefixIs(blocks)
-	if replay {
-		for _, b := range blocks {
-			if !c.shadow.resident(b) {
-				return false
-			}
-		}
-	}
 	total := iters * int64(r)
 	final := c.tick + total
 	markDirty := c.write == WriteBack

@@ -145,6 +145,51 @@ func TestTryAccessHitItersMatchesPerAccess(t *testing.T) {
 			drain(t, name, bulk, ref)
 		})
 	}
+
+	// Blocks still in their set but evicted from the shadow: the group
+	// fills set 0 while 40 blocks of the other sets push it out of the
+	// shadow's global LRU (as many entries as the cache has lines). The
+	// fast-forward must apply, re-inserting the group exactly as
+	// per-access replay does.
+	t.Run("shadow-evicted", func(t *testing.T) {
+		bulk := MustNew(geom, WithClassification())
+		ref := MustNew(geom, WithClassification())
+		sets := geom.NumLines() / int64(geom.Assoc)
+		group := []int64{0, sets}
+		for _, c := range []*Cache{bulk, ref} {
+			for _, b := range group {
+				c.AccessRW(b*geom.BlockSize, false)
+			}
+			for b, n := sets+1, 0; n < 40; b++ {
+				if b%sets != 0 {
+					c.AccessRW(b*geom.BlockSize, false)
+					n++
+				}
+			}
+			for _, b := range group {
+				if !c.Contains(b*geom.BlockSize) || c.shadow.resident(b) {
+					t.Fatalf("set-up: block %d in its set %v, in the shadow %v", b, c.Contains(b*geom.BlockSize), c.shadow.resident(b))
+				}
+			}
+		}
+		const iters = 5
+		if !bulk.TryAccessHitIters(group, []int64{-1, -1}, []bool{false, true}, iters) {
+			t.Fatal("fast-forward refused a group resident in its sets")
+		}
+		for it := 0; it < iters; it++ {
+			for j, b := range group {
+				if c, _ := ref.AccessRW(b*geom.BlockSize, j == 1); c != Hit {
+					t.Fatalf("iteration %d: per-access replay of block %d missed (%v)", it, b, c)
+				}
+			}
+		}
+		// The probe stream soon flushes a 32-entry shadow, so the orders
+		// are compared directly too.
+		if got, want := shadowOrder(t, bulk.shadow), shadowOrder(t, ref.shadow); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shadow order after the fast-forward:\n got  %v\n want %v", got, want)
+		}
+		drain(t, "shadow-evicted", bulk, ref)
+	})
 }
 
 // TestTryAccessHitItersRefusalUntouched: a refused fast-forward leaves

@@ -28,6 +28,13 @@ func (o *lruOracle) access(b int64) bool {
 	return hit
 }
 
+// resident reports whether block is in the directory, without touching
+// recency.
+func (s *shadowLRU) resident(block int64) bool {
+	n, _ := s.find(block)
+	return n >= 0
+}
+
 // shadowOrder walks the shadow MRU→LRU, checking the back links agree.
 func shadowOrder(t *testing.T, s *shadowLRU) []int64 {
 	t.Helper()

@@ -85,31 +85,33 @@ type Config struct {
 	// 0 means GOMAXPROCS; 1 forces sequential execution.
 	Workers int
 
-	// SimWorkers bounds the intra-run worker pool of the simulation
-	// engine (mpsoc.RunParallel): per-core segment simulations between
-	// scheduling events fan out across this many goroutines, with results
-	// bit-identical at any value. 0 (the default) runs the inline
-	// executor; ≥ 1 selects the pooled one. The Workers × SimWorkers
-	// product is clamped to a shared GOMAXPROCS budget (see
-	// effectiveSimWorkers), so combining cell-level and intra-run
-	// parallelism never oversubscribes the host.
+	// SimWorkers bounds the goroutines one simulation run spreads its
+	// per-core segment simulations over (mpsoc.RunParallel): the event
+	// loop plus SimWorkers−1 helpers, with results bit-identical at any
+	// value. DefaultConfig sets GOMAXPROCS; 0 and 1 run the inline
+	// executor, with no helper. The Workers × SimWorkers product is
+	// clamped to a shared GOMAXPROCS budget (see effectiveSimWorkers), so
+	// a figure's concurrent cells get one goroutine each and a lone cell
+	// (Workers 1) gets the whole budget.
 	SimWorkers int
 }
 
 // DefaultConfig uses the paper's Table 2 machine, workload scale 2, a
 // quantum scaled to our process lengths, block-size alignment, and a
 // deep ARR setting (affinity window 256, quantum batch 8 — see the
-// AblationAffinity grid for the sensitivity of both levers).
+// AblationAffinity grid for the sensitivity of both levers). A run may
+// use every CPU the process has (SimWorkers).
 func DefaultConfig() Config {
 	m := mpsoc.DefaultConfig()
 	return Config{
-		Machine:  m,
-		Workload: workload.Params{Scale: 2},
-		Quantum:  2048,
-		Seed:     1,
-		Align:    m.Cache.BlockSize,
-		Affinity: 256,
-		QBatch:   8,
+		Machine:    m,
+		Workload:   workload.Params{Scale: 2},
+		Quantum:    2048,
+		Seed:       1,
+		Align:      m.Cache.BlockSize,
+		Affinity:   256,
+		QBatch:     8,
+		SimWorkers: runtime.GOMAXPROCS(0),
 	}
 }
 

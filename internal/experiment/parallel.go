@@ -11,11 +11,12 @@ import (
 // parallelism share one CPU budget instead of multiplying goroutines:
 // each of the cellWorkers concurrent cells gets an equal share of the
 // budget (at least 1), and simWorkers is clamped to that share.
-// simWorkers <= 0 yields 0, the inline executor; cellWorkers <= 0 means
-// GOMAXPROCS cells may run at once, leaving a share of 1. E.g.
-// Workers=4, SimWorkers=4 on GOMAXPROCS=2 yields 1 — four concurrent
-// cells each running the pooled executor with one worker — not 16
-// runnable goroutines.
+// simWorkers <= 0 yields 0 and a share of 1 yields 1, both the inline
+// executor; cellWorkers <= 0 means GOMAXPROCS cells may run at once,
+// leaving a share of 1. E.g. Workers=4, SimWorkers=4 on GOMAXPROCS=2
+// yields 1 — four concurrent cells each simulating inline — not 16
+// runnable goroutines, and Workers=1 with the default SimWorkers yields
+// the whole budget: the loop and a helper per further CPU.
 func effectiveSimWorkers(cellWorkers, simWorkers, budget int) int {
 	if simWorkers <= 0 {
 		return 0

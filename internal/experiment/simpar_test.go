@@ -15,12 +15,13 @@ func TestEffectiveSimWorkers(t *testing.T) {
 		cellWorkers, simWorkers, budget, want int
 	}{
 		{1, 0, 8, 0},  // SimWorkers 0: inline executor, always
+		{1, 2, 2, 2},  // a lone cell on 2 CPUs: the loop and one helper
 		{1, 4, 8, 4},  // single cell: full request honored within budget
 		{1, 16, 8, 8}, // single cell: clamped to the whole budget
 		{2, 4, 8, 4},  // two cells split an 8-way budget evenly
 		{4, 4, 2, 1},  // the oversubscription footgun: 4×4 on 2 CPUs → 1 each
 		{4, 2, 2, 1},  // share floor is 1, request above it clamps down
-		{8, 1, 2, 1},  // a 1-worker request always stands (async engine, no extra CPU)
+		{8, 1, 2, 1},  // a 1-worker request always stands (the inline executor)
 		{0, 4, 2, 1},  // Workers=0 means GOMAXPROCS cells: share is 1
 		{3, 2, 8, 2},  // request below the share is honored as-is
 	}
@@ -33,7 +34,7 @@ func TestEffectiveSimWorkers(t *testing.T) {
 }
 
 // TestSimWorkersDeterministic: every figure the harness produces is
-// bit-identical across SimWorkers 0 (inline executor), 1, 4, and
+// bit-identical across SimWorkers 0 (inline executor), 2, 4, and
 // NumCPU — on Figure 6, a 32-core XL point, and the ARR ablation grid
 // (whose cells exercise warm wakes, quantum batching, and decay through
 // the pooled executor).
@@ -42,8 +43,8 @@ func TestSimWorkersDeterministic(t *testing.T) {
 	base.Workload.Scale = 1
 	policies := []Policy{RS, RRS, ARR, LS, LSM}
 
-	counts := []int{0, 1, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 4 {
+	counts := []int{0, 2, 4}
+	if n := runtime.NumCPU(); n > 2 && n != 4 {
 		counts = append(counts, n)
 	}
 
@@ -112,6 +113,26 @@ func TestSimWorkersOversubscription(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, both) {
 		t.Error("combined-parallelism Figure6 diverges from sequential run")
+	}
+}
+
+// TestSimWorkersDefault: DefaultConfig offers a run every CPU, which a
+// lone cell (Workers 1, the ladders' shape) gets in full, concurrent
+// cells share, and a single CPU turns back into the inline executor.
+func TestSimWorkersDefault(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		cfg := DefaultConfig()
+		runtime.GOMAXPROCS(prev)
+		if cfg.SimWorkers != procs {
+			t.Fatalf("GOMAXPROCS=%d: DefaultConfig().SimWorkers = %d", procs, cfg.SimWorkers)
+		}
+		if got := effectiveSimWorkers(1, cfg.SimWorkers, procs); got != procs {
+			t.Errorf("GOMAXPROCS=%d, Workers=1: %d sim workers, want %d", procs, got, procs)
+		}
+		if got := effectiveSimWorkers(0, cfg.SimWorkers, procs); got != 1 {
+			t.Errorf("GOMAXPROCS=%d, Workers=0: %d sim workers, want 1", procs, got)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package mpsoc
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"locsched/internal/cache"
 	"locsched/internal/layout"
@@ -161,7 +162,7 @@ type Runner struct {
 	// cfg.MissPenalty, so dispatch arithmetic is unchanged bit for bit.
 	coreHitLat   []int64
 	coreMissBase []int64
-	// The inline executor's segment scratch; pool workers own theirs.
+	// The event loop's segment scratch; pool helpers own theirs.
 	scratch *segScratch
 	// segment is runSegmentRLE; the differential tests swap in the
 	// access-by-access oracle here.
@@ -262,16 +263,17 @@ func (r *Runner) Run(d Dispatcher) (*Result, error) {
 }
 
 // RunParallel simulates the EPG under the dispatcher like Run, but
-// executes segment simulations on a pool of workers goroutines (clamped
-// to the core count). The Result is bit-identical to Run's for every
-// dispatcher honouring the Dispatcher contract and every worker count
-// (enforced by the differential suites); workers <= 0 is Run. It must
-// not be called concurrently on one Runner.
+// spreads segment simulations over workers goroutines (clamped to the
+// core count): the event loop and workers−1 helpers. The Result is
+// bit-identical to Run's for every dispatcher honouring the Dispatcher
+// contract and every worker count (enforced by the differential
+// suites); workers <= 1 is Run, with no goroutine started. It must not
+// be called concurrently on one Runner.
 func (r *Runner) RunParallel(d Dispatcher, workers int) (*Result, error) {
 	s := r.newSimulation(d)
 	var exec executor = inlineExec{s}
-	if workers > 0 {
-		exec = newPoolExec(s, min(workers, r.cfg.Cores))
+	if workers = min(workers, r.cfg.Cores); workers > 1 {
+		exec = newPoolExec(s, workers-1)
 	}
 	defer exec.stop()
 	return s.run(exec)
@@ -292,7 +294,9 @@ type segTask struct {
 
 	cycles    int64
 	completed bool
-	done      chan struct{} // pooled only: signalled by the worker
+	// Pooled only: the handover between the loop and the helpers (see
+	// poolExec).
+	claimed, finished atomic.Bool
 }
 
 // executor simulates dispatched segments and hands each back to the
@@ -311,7 +315,7 @@ type executor interface {
 
 // inlineExec simulates each segment at its dispatch on the loop
 // goroutine, with the Runner's scratch, and queues its completion at
-// once: no channels, no lookahead bound, nothing left to settle.
+// once: no helpers, no lookahead bound, nothing left to settle.
 type inlineExec struct{ s *simulation }
 
 func (e inlineExec) submit(t *segTask) {

@@ -79,7 +79,7 @@ func fuzzDispatcher(t *testing.T, g *taskgraph.Graph, cores int, pick uint8) fun
 // multi-reference processes) on a random machine under a random policy
 // gives one Result, timeline included, whichever way it is simulated:
 // runSegmentRLE or the flat oracle, the inline executor or the pooled
-// one at 1 and 3 workers, a fresh Runner or a reused one. The run
+// one at 2 and 3 workers, a fresh Runner or a reused one. The run
 // satisfies the accounting identities, and under RRS, ARR at window 0
 // gives the same Result.
 func FuzzEngineDifferential(f *testing.F) {
@@ -106,7 +106,7 @@ func FuzzEngineDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{0, 1, 3, 0} {
+		for _, workers := range []int{0, 2, 3, 0} {
 			got, err := reused.RunParallel(mkDisp(), workers)
 			if err != nil {
 				t.Fatalf("%d workers: %v", workers, err)

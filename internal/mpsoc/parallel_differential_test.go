@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"locsched/internal/layout"
 	"locsched/internal/sched"
@@ -13,13 +14,13 @@ import (
 	"locsched/internal/workload"
 )
 
-// parallelWorkerCounts are the pool sizes every cell is checked under:
-// 1 exercises the asynchronous dispatch/join machinery with no real
-// concurrency, 4 is the CI multicore shape, NumCPU is whatever this
-// host has (which may be 1 — the count still differs in queue depth).
+// parallelWorkerCounts are the worker counts every cell is checked
+// under: 2 is the loop and one helper, 4 is the CI multicore shape, and
+// NumCPU is whatever this host has (1 would be the inline executor, so
+// it is left out).
 func parallelWorkerCounts() []int {
-	counts := []int{1, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 4 {
+	counts := []int{2, 4}
+	if n := runtime.NumCPU(); n > 2 && n != 4 {
 		counts = append(counts, n)
 	}
 	return counts
@@ -140,7 +141,7 @@ func TestParallelEngineRunnerReuse(t *testing.T) {
 
 // TestParallelEngineWorkerClamp: worker counts beyond the core count are
 // clamped (a segment per busy core is the maximum possible concurrency)
-// and workers <= 0 is the inline executor.
+// and workers <= 1 is the inline executor.
 func TestParallelEngineWorkerClamp(t *testing.T) {
 	app, err := workload.Build("Radar", 0, workload.Params{Scale: 1})
 	if err != nil {
@@ -168,6 +169,49 @@ func TestParallelEngineWorkerClamp(t *testing.T) {
 	}
 }
 
+// goroutineProbe wraps a dispatcher and records the most goroutines the
+// process had at any Pick — the loop's view while segments are in flight.
+type goroutineProbe struct {
+	Dispatcher
+	max int
+}
+
+func (g *goroutineProbe) Pick(core int, now int64) (taskgraph.ProcID, int64, bool) {
+	g.max = max(g.max, runtime.NumGoroutine())
+	return g.Dispatcher.Pick(core, now)
+}
+
+// TestParallelEngineHelperCount: RunParallel starts exactly workers−1
+// helper goroutines, so one worker (what a single CPU resolves to) is
+// the inline executor with no goroutine at all.
+func TestParallelEngineHelperCount(t *testing.T) {
+	r := packedRunner(t, "Radar")
+	idle := runtime.NumGoroutine()
+	for _, workers := range []int{0, 1, 2, 4} {
+		p := &goroutineProbe{Dispatcher: sched.MustRoundRobin(193)}
+		if _, err := r.RunParallel(p, workers); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if want := idle + max(workers-1, 0); p.max != want {
+			t.Errorf("workers=%d: %d goroutines during the run, want %d", workers, p.max, want)
+		}
+		awaitGoroutines(t, idle)
+	}
+}
+
+// awaitGoroutines waits for the process to be back to n goroutines:
+// stop waits for its helpers, so only a helper's own exit can still be
+// in progress when RunParallel returns.
+func awaitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > n && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > n {
+		t.Fatalf("%d goroutines after the runs, %d before", got, n)
+	}
+}
+
 // stuckDispatcher violates the Dispatcher contract by offering the same
 // process, with a short quantum, to every core: the engine must refuse
 // the second pick (the process is in flight) instead of slicing one
@@ -182,7 +226,20 @@ func (s *stuckDispatcher) Pick(core int, now int64) (taskgraph.ProcID, int64, bo
 }
 
 func TestParallelEngineRejectsInFlightPick(t *testing.T) {
-	app, err := workload.Build("Radar", 0, workload.Params{Scale: 1})
+	r := packedRunner(t, "Radar")
+	for _, w := range append([]int{0, 1}, parallelWorkerCounts()...) {
+		_, err := r.RunParallel(&stuckDispatcher{}, w)
+		if err == nil || !strings.Contains(err.Error(), "in-flight") {
+			t.Errorf("workers=%d: want in-flight pick error, got %v", w, err)
+		}
+	}
+}
+
+// packedRunner builds a Runner for a Table 1 application at scale 1 on
+// the default machine, under the packed base layout.
+func packedRunner(t *testing.T, name string) *Runner {
+	t.Helper()
+	app, err := workload.Build(name, 0, workload.Params{Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +252,68 @@ func TestParallelEngineRejectsInFlightPick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range append([]int{0}, parallelWorkerCounts()...) {
-		_, err = r.RunParallel(&stuckDispatcher{}, w)
-		if err == nil || !strings.Contains(err.Error(), "in-flight") {
-			t.Errorf("workers=%d: want in-flight pick error, got %v", w, err)
+	return r
+}
+
+// runPooled runs d through the pooled executor with the given number of
+// helper goroutines, 0 included: the loop then simulates every segment
+// itself, at its joins, which exercises the ring and the deferred joins
+// with no concurrency at all.
+func runPooled(r *Runner, d Dispatcher, helpers int) (*Result, error) {
+	s := r.newSimulation(d)
+	e := newPoolExec(s, helpers)
+	defer e.stop()
+	return s.run(e)
+}
+
+// TestPoolExecStress: with a quantum of a dozen-odd cycles every core's
+// slot is resubmitted thousands of times per run, so helpers keep
+// meeting stale ring entries of slots the loop is rewriting. At 0–3
+// helpers, under RRS and ARR, every run must match the inline executor,
+// finish (a lost hand-over deadlocks the loop, which the watchdog turns
+// into a failure), and leave no helper goroutine behind.
+func TestPoolExecStress(t *testing.T) {
+	names := []string{"Radar", "Track", "Shape"}
+	if testing.Short() {
+		names = names[:1]
+	}
+	disps := map[string]func() Dispatcher{
+		"RRS-13": func() Dispatcher { return sched.MustRoundRobin(13) },
+		"ARR-17": func() Dispatcher {
+			return sched.MustAffinityRR(sched.AffinityConfig{Quantum: 17, Window: 4, QBatch: 2, Decay: 20000})
+		},
+	}
+	before := runtime.NumGoroutine()
+	for _, name := range names {
+		r := packedRunner(t, name)
+		for dName, mk := range disps {
+			want, err := r.Run(mk())
+			if err != nil {
+				t.Fatalf("%s/%s inline: %v", name, dName, err)
+			}
+			for helpers := 0; helpers <= 3; helpers++ {
+				type outcome struct {
+					res *Result
+					err error
+				}
+				done := make(chan outcome, 1)
+				go func() {
+					res, err := runPooled(r, mk(), helpers)
+					done <- outcome{res, err}
+				}()
+				select {
+				case o := <-done:
+					if o.err != nil {
+						t.Fatalf("%s/%s, %d helpers: %v", name, dName, helpers, o.err)
+					}
+					if !reflect.DeepEqual(want, o.res) {
+						t.Fatalf("%s/%s, %d helpers: diverges from the inline executor:\ninline: %+v\npooled: %+v", name, dName, helpers, want, o.res)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatalf("%s/%s, %d helpers: run did not finish", name, dName, helpers)
+				}
+			}
 		}
 	}
+	awaitGoroutines(t, before)
 }

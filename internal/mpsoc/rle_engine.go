@@ -33,7 +33,7 @@ import (
 // segment has not yet touched (it resumed mid-iteration) has hint -1.
 //
 // sc is caller-owned scratch sized to at least the stream's reference
-// count: the inline executor passes the Runner's, pool workers pass
+// count: the event loop passes the Runner's, pool helpers pass
 // their own so concurrent segment executions never share mutable state.
 func runSegmentRLE(cur *trace.RLECursor, c *cache.Cache, hitLat, missPenalty, wbPenalty, quantum int64, sc *segScratch) (cycles int64, completed bool) {
 	compute := cur.Spec().ComputePerIter

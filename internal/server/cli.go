@@ -27,7 +27,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.QueueDepth, "queue", cfg.QueueDepth, "job queue depth (full queue answers 429)")
 	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "executor goroutines draining the queue")
 	fs.IntVar(&cfg.ExpWorkers, "expworkers", cfg.ExpWorkers, "intra-request experiment workers per job")
-	fs.IntVar(&cfg.SimWorkers, "simworkers", cfg.SimWorkers, "intra-run engine pool workers per cell (0 = inline executor; cache-neutral)")
+	fs.IntVar(&cfg.SimWorkers, "simworkers", cfg.SimWorkers, "goroutines per cell's simulation, event loop included (0 and 1 = serial; cache-neutral)")
 	fs.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "result cache entry bound")
 	cacheMB := fs.Int64("cache-mb", cfg.CacheBytes>>20, "result cache byte bound in MiB")
 	fs.DurationVar(&cfg.RequestTimeout, "timeout", cfg.RequestTimeout, "per-request deadline (queue wait + execution)")

@@ -56,10 +56,12 @@ type Config struct {
 	// cell sequential and lets the daemon parallelize across requests.
 	ExpWorkers int
 	// SimWorkers is the experiment.Config.SimWorkers value given to each
-	// executed job: intra-run engine pool workers. It is cache-neutral
-	// (the pooled executor is bit-identical to the inline one, and
-	// ConfigDigest excludes it), so changing it never invalidates stored
-	// response bytes. The default 0 runs the inline executor.
+	// executed job: the goroutines one simulation run uses, its event
+	// loop included. It is cache-neutral (the pooled executor is
+	// bit-identical to the inline one, and ConfigDigest excludes it), so
+	// changing it never invalidates stored response bytes. The default 0,
+	// like 1, runs the inline executor: the daemon spends its CPUs on
+	// concurrent requests instead.
 	SimWorkers int
 	// CacheEntries bounds the result cache by entry count.
 	CacheEntries int

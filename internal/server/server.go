@@ -113,8 +113,9 @@ func New(cfg Config, planner Planner) (*Server, error) {
 	s.obs.reg.Bind(&s.stats)
 	switch {
 	case cfg.Store != nil:
-		// An injected store opened without Options.Metrics publishes its
-		// series here, like a store the daemon opens itself.
+		// An injected store publishes its sampled series here, like a
+		// store the daemon opens itself, whether or not it was opened
+		// with Options.Metrics (its timers stay on that registry).
 		s.store = cfg.Store
 		s.store.RegisterMetrics(s.obs.reg)
 	case cfg.StoreDir != "":

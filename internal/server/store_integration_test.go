@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -203,8 +204,9 @@ func TestStoreFaultsDegradeNotFail(t *testing.T) {
 // TestInjectedStoreMetrics: a store handed to the daemon through
 // Config.Store publishes its locsched_store_* series on the daemon's
 // /metricsz, timed operations included, when it was opened without a
-// registry; one opened with a registry keeps its series there, and the
-// daemon registers nothing twice.
+// registry. One opened with a registry publishes its sampled series on
+// both — the daemon's agreeing with /statsz — and keeps its operation
+// timers on its own.
 func TestInjectedStoreMetrics(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -236,8 +238,31 @@ func TestInjectedStoreMetrics(t *testing.T) {
 	if resp, _ := postBody(t, ts2.URL+"/v1/run", `{"i":2}`); resp.StatusCode != 200 {
 		t.Fatalf("request: %d", resp.StatusCode)
 	}
-	if got := metricValue(scrapeMetricsz(t, ts2.URL), "locsched_store_writes_total", "", ""); got != -1 {
-		t.Errorf("daemon re-registered a store that publishes on its own registry: writes = %v", got)
+	samples = scrapeMetricsz(t, ts2.URL)
+	var stats map[string]any
+	if err := json.Unmarshal([]byte(getText(t, ts2.URL+"/statsz")), &stats); err != nil {
+		t.Fatal(err)
+	}
+	leaves := make(map[string]float64)
+	numericLeaves("", stats, leaves)
+	checked := 0
+	for path, name := range statszSeries {
+		if !strings.HasPrefix(path, "persistent_store.store.") {
+			continue
+		}
+		checked++
+		if got, want := metricValue(samples, name, "", ""), leaves[path]; got != want {
+			t.Errorf("daemon given a store with its own registry: /metricsz %s = %v, /statsz %s = %v", name, got, path, want)
+		}
+	}
+	if checked == 0 || leaves["persistent_store.store.writes"] != 1 {
+		t.Errorf("checked %d store series, /statsz writes = %v, want 1", checked, leaves["persistent_store.store.writes"])
+	}
+	if got := metricValue(samples, "locsched_store_breaker_state", "", ""); got != 0 {
+		t.Errorf("locsched_store_breaker_state = %v on the daemon's /metricsz, want 0", got)
+	}
+	if got := metricValue(samples, "locsched_store_put_seconds_count", "", ""); got != -1 {
+		t.Errorf("the store's timers moved to the daemon's registry: put count %v", got)
 	}
 	var text bytes.Buffer
 	if err := reg.WriteText(&text); err != nil {

@@ -330,20 +330,23 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // RegisterMetrics publishes the store's observability series on r; Open
-// calls it with Options.Metrics, and a daemon handed a store opened
-// without one calls it with its own registry. It does nothing for a nil
-// r (no instrumentation — the standalone/test path) or when the series
-// are already registered. Call it before the store is shared between
-// goroutines: it installs the operation timers. The other series but
-// the breaker state are Stats' tagged fields (obs.Publish).
+// calls it with Options.Metrics, and a daemon handed a store calls it
+// with its own registry. It does nothing for a nil r (no instrumentation
+// — the standalone/test path). The sampled series — Stats' tagged fields
+// (obs.Publish) and the breaker state — go on every registry it is
+// given; the operation timers live on the first one only, because they
+// are installed once. Call it before the store is shared between
+// goroutines: the first call installs those timers.
 func (s *Store) RegisterMetrics(r *obs.Registry) {
-	if r == nil || s.getHist != nil {
+	if r == nil {
 		return
 	}
-	s.getHist = r.Histogram("locsched_store_get_seconds",
-		"Persistent-store read latency (verified hit or miss).", nil)
-	s.putHist = r.Histogram("locsched_store_put_seconds",
-		"Persistent-store append latency (durable write, all retries).", nil)
+	if s.getHist == nil {
+		s.getHist = r.Histogram("locsched_store_get_seconds",
+			"Persistent-store read latency (verified hit or miss).", nil)
+		s.putHist = r.Histogram("locsched_store_put_seconds",
+			"Persistent-store append latency (durable write, all retries).", nil)
+	}
 	r.GaugeFunc("locsched_store_breaker_state",
 		"Circuit breaker state: 0 closed, 1 half-open, 2 open.", func() float64 {
 			state, _ := s.brk.snapshot()
