@@ -74,7 +74,8 @@ func TestAccessRunMatchesPerAccess(t *testing.T) {
 }
 
 // TestTryAccessHitItersMatchesPerAccess: a successful fast-forward is
-// indistinguishable from per-access replay of the same iterations, under
+// indistinguishable from per-access replay of the same iterations — the
+// shadow LRU's order is compared after every bulk call — under
 // random interleaved traffic, mixed residency (forcing refusals),
 // duplicate blocks within a group, and line hints that are right, stale
 // (a later touch evicted the line), arbitrary or unknown.
@@ -137,6 +138,13 @@ func TestTryAccessHitItersMatchesPerAccess(t *testing.T) {
 					}
 				} else {
 					refused++
+				}
+				// drain's probe flushes the 32-entry shadow before it
+				// revisits a group, so the orders are compared here.
+				if bulk.shadow != nil {
+					if got, want := shadowOrder(t, bulk.shadow), shadowOrder(t, ref.shadow); !reflect.DeepEqual(got, want) {
+						t.Fatalf("group %d (%d iterations, applied %v): shadow order\n got  %v\n want %v", i, iters, ok, got, want)
+					}
 				}
 			}
 			if applied == 0 || refused == 0 {

@@ -40,8 +40,32 @@ func (s *byteSource) in(lo, hi int64) int64 { return lo + s.next()%(hi-lo+1) }
 func Spec(data []byte) (*prog.ProcessSpec, []*prog.Array) {
 	src := &byteSource{data: data}
 	iter := iterSpace(src)
-	sp := iter.Space()
-	arrays := make([]*prog.Array, src.in(1, 2))
+	arrays := decodeArrays(src, int(src.in(1, 2)))
+	return specOver(src, iter, arrays), arrays
+}
+
+// Decoder decodes several specs from one byte string, so that fuzz
+// targets can build graphs whose processes draw their references from a
+// common array pool.
+type Decoder struct{ src byteSource }
+
+// NewDecoder returns a decoder reading data cyclically.
+func NewDecoder(data []byte) *Decoder { return &Decoder{src: byteSource{data: data}} }
+
+// In decodes a value in [lo, hi].
+func (d *Decoder) In(lo, hi int64) int64 { return d.src.in(lo, hi) }
+
+// Arrays decodes n arrays of rank 1–3.
+func (d *Decoder) Arrays(n int) []*prog.Array { return decodeArrays(&d.src, n) }
+
+// Spec decodes a spec whose references target arrays from the pool.
+func (d *Decoder) Spec(pool []*prog.Array) *prog.ProcessSpec {
+	return specOver(&d.src, iterSpace(&d.src), pool)
+}
+
+// decodeArrays decodes n arrays of rank 1–3 with extents 1–9.
+func decodeArrays(src *byteSource, n int) []*prog.Array {
+	arrays := make([]*prog.Array, n)
 	for a := range arrays {
 		dims := make([]int64, src.in(1, 3))
 		for k := range dims {
@@ -49,6 +73,12 @@ func Spec(data []byte) (*prog.ProcessSpec, []*prog.Array) {
 		}
 		arrays[a] = prog.MustArray(fmt.Sprintf("A%d", a), elemSizes[src.in(0, int64(len(elemSizes)-1))], dims...)
 	}
+	return arrays
+}
+
+// specOver decodes 1–3 references to arrays of the pool over iter.
+func specOver(src *byteSource, iter *presburger.BasicSet, arrays []*prog.Array) *prog.ProcessSpec {
+	sp := iter.Space()
 	refs := make([]prog.Ref, src.in(1, 3))
 	for r := range refs {
 		arr := arrays[src.in(0, int64(len(arrays)-1))]
@@ -66,7 +96,7 @@ func Spec(data []byte) (*prog.ProcessSpec, []*prog.Array) {
 		}
 		refs[r] = prog.MustRef(arr, presburger.MustMap(sp, exprs...), kind)
 	}
-	return prog.MustProcessSpec("p", iter, src.in(0, 3), refs...), arrays
+	return prog.MustProcessSpec("p", iter, src.in(0, 3), refs...)
 }
 
 // iterSpace decodes a 1-D, 2-D, triangular or empty iteration space.

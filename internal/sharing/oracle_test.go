@@ -13,33 +13,29 @@ import (
 
 // pairwiseMatrix is the oracle for MatrixParallel: it intersects the
 // full data spaces of every process pair, array by array, with no
-// footprint summaries, interval rejection or tiling.
-func pairwiseMatrix(a *Analyzer, g *taskgraph.Graph) (*Matrix, error) {
+// footprint summaries, components, interval rejection or tiling, and
+// returns the dense rows in g.ProcIDs() order.
+func pairwiseMatrix(a *Analyzer, g *taskgraph.Graph) ([][]int64, error) {
 	ids := g.ProcIDs()
-	m := &Matrix{
-		ids:  ids,
-		pos:  make(map[taskgraph.ProcID]int, len(ids)),
-		vals: make([][]int64, len(ids)),
-	}
+	vals := make([][]int64, len(ids))
 	spaces := make([]DataSpace, len(ids))
 	for i, id := range ids {
-		m.pos[id] = i
 		ds, err := a.DataSpace(g.Process(id).Spec)
 		if err != nil {
 			return nil, err
 		}
 		spaces[i] = ds
-		m.vals[i] = make([]int64, len(ids))
+		vals[i] = make([]int64, len(ids))
 	}
 	for i := range ids {
-		m.vals[i][i] = spaces[i].FootprintBytes()
+		vals[i][i] = spaces[i].FootprintBytes()
 		for j := i + 1; j < len(ids); j++ {
 			s := sharedBytesPairwise(spaces[i], spaces[j])
-			m.vals[i][j] = s
-			m.vals[j][i] = s
+			vals[i][j] = s
+			vals[j][i] = s
 		}
 	}
-	return m, nil
+	return vals, nil
 }
 
 // sharedBytesPairwise returns the bytes two data spaces share: the sum

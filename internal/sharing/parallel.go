@@ -12,8 +12,9 @@ import (
 
 // The blocked, parallel sharing-matrix construction, the package's only
 // one. The plain pairwise construction is O(P²) run-merges over the full
-// data spaces; at the 512–1024-core scenario scale (P in the thousands)
-// that is an analysis wall. This path makes three changes to it, all
+// data spaces and an n×n result; at the 512–1024-core scenario scale (P
+// in the thousands) that is an analysis wall and, held per family, most
+// of the process's memory. This path makes four changes to it, all
 // value-preserving:
 //
 //   - data spaces are computed concurrently (one task per process) on a
@@ -23,18 +24,26 @@ import (
 //     set (eset.Set.Bounds) — sorted by a dense array index, so a pair's
 //     shared bytes is a linear merge-join that rejects disjoint arrays
 //     and non-overlapping intervals in O(1) instead of a map-probe plus
-//     run-merge per array (generated XL mixes share nothing across
-//     tasks, so almost every pair exits at the summary level);
-//   - the P×P pair space is tiled into matrixTile-wide blocks and the
-//     upper-triangle tiles fan out over the worker pool; each unordered
-//     pair (i, j) belongs to exactly one tile, so tile workers write
-//     disjoint matrix cells and need no synchronization.
+//     run-merge per array;
+//   - a union-find over the dense array indices joins the processes that
+//     touch a common array into sharing components; a pair in different
+//     components shares nothing, so it is neither swept nor stored, and
+//     the matrix keeps one k×k block per component (generated XL mixes
+//     share nothing across tasks, so each task is at most a few blocks);
+//   - inside a component the pair space is tiled into matrixTile-wide
+//     blocks and the upper-triangle tiles of every component fan out
+//     over the worker pool; each unordered pair belongs to exactly one
+//     tile, so tile workers write disjoint cells and need no
+//     synchronization. A graph that is one component (a lone Table 1
+//     application) keeps the full tiled, parallel sweep.
 //
-// Every cell is an exact int64 sum over the same intersections the
-// pairwise construction computes, so the result is bit-identical for any
-// worker count — the differential tests pin ComputeMatrixParallel
-// against that pairwise oracle (pairwiseMatrix, oracle_test.go) for the
-// Table 1 apps and generated XL mixes.
+// Components and the members inside them follow ascending matrix
+// position, and every cell is an exact int64 sum over the same
+// intersections the pairwise construction computes, so the result is
+// bit-identical for any worker count — the differential tests pin
+// ComputeMatrixParallel against that pairwise oracle (pairwiseMatrix,
+// oracle_test.go) for the Table 1 apps, generated XL mixes and fuzzed
+// graphs over a shared array pool.
 
 // matrixTile is the tile edge of the blocked pair sweep. 128 keeps a
 // tile's summaries resident while being fine-grained enough to balance
@@ -104,16 +113,6 @@ func (a *Analyzer) MatrixParallel(g *taskgraph.Graph, workers int) (*Matrix, err
 	}
 	ids := g.ProcIDs()
 	n := len(ids)
-	m := &Matrix{
-		ids:  ids,
-		pos:  make(map[taskgraph.ProcID]int, n),
-		vals: make([][]int64, n),
-	}
-	cells := make([]int64, n*n) // one zeroed block; the sweep writes nonzero cells only
-	for i, id := range ids {
-		m.pos[id] = i
-		m.vals[i] = cells[i*n : (i+1)*n : (i+1)*n]
-	}
 
 	// Phase 1: data spaces, one task per process on the pool.
 	spaces := make([]DataSpace, n)
@@ -130,42 +129,124 @@ func (a *Analyzer) MatrixParallel(g *taskgraph.Graph, workers int) (*Matrix, err
 
 	// Phase 2: footprint summaries. Dense array indices are assigned
 	// sequentially at first use across processes in ID order; only the
-	// join order depends on them, not any matrix value.
+	// join order and the union-find's roots depend on them, not any
+	// matrix value or component number.
 	arrIdx := make(map[*prog.Array]int)
 	sums := make([]*footprint, n)
 	for i, id := range ids {
 		sums[i] = summarize(g.Process(id).Spec, spaces[i], arrIdx)
-		m.vals[i][i] = sums[i].self
 	}
 
-	// Phase 3: tiled upper-triangle pair sweep.
-	nt := (n + matrixTile - 1) / matrixTile
-	type tile struct{ bi, bj int }
-	tiles := make([]tile, 0, nt*(nt+1)/2)
-	for bi := 0; bi < nt; bi++ {
-		for bj := bi; bj < nt; bj++ {
-			tiles = append(tiles, tile{bi, bj})
+	// Phase 3: sharing components and their blocks, diagonal filled.
+	comps := components(sums, len(arrIdx))
+	m := &Matrix{
+		ids: ids,
+		pos: make(map[taskgraph.ProcID]int, n),
+		at:  make([]slot, n),
+	}
+	for i, id := range ids {
+		m.pos[id] = i
+	}
+	cells := 0
+	for _, mem := range comps {
+		cells += len(mem) * len(mem)
+	}
+	m.cells = make([]int64, cells) // zeroed; the sweep writes nonzero cells only
+	off := 0
+	for c, mem := range comps {
+		k := len(mem)
+		for l, p := range mem {
+			m.at[p] = slot{comp: int32(c), local: int32(l), row: off + l*k}
+			m.cells[off+l*k+l] = sums[p].self
+		}
+		off += k * k
+	}
+
+	// Phase 4: tiled upper-triangle pair sweep inside each component.
+	type tile struct{ c, bi, bj int }
+	var tiles []tile
+	for c, mem := range comps {
+		if len(mem) < 2 {
+			continue
+		}
+		nt := (len(mem) + matrixTile - 1) / matrixTile
+		for bi := 0; bi < nt; bi++ {
+			for bj := bi; bj < nt; bj++ {
+				tiles = append(tiles, tile{c, bi, bj})
+			}
 		}
 	}
 	_ = fanOut(workers, len(tiles), func(t int) error {
+		mem := comps[tiles[t].c]
 		bi, bj := tiles[t].bi, tiles[t].bj
-		iHi := min((bi+1)*matrixTile, n)
-		jHi := min((bj+1)*matrixTile, n)
+		k := len(mem)
+		base := m.at[mem[0]].row
+		iHi := min((bi+1)*matrixTile, k)
+		jHi := min((bj+1)*matrixTile, k)
 		for i := bi * matrixTile; i < iHi; i++ {
 			jLo := bj * matrixTile
 			if bi == bj {
 				jLo = i + 1
 			}
 			for j := jLo; j < jHi; j++ {
-				if s := sharedBytes(sums[i], sums[j]); s != 0 {
-					m.vals[i][j] = s
-					m.vals[j][i] = s
+				if s := sharedBytes(sums[mem[i]], sums[mem[j]]); s != 0 {
+					m.cells[base+i*k+j] = s
+					m.cells[base+j*k+i] = s
 				}
 			}
 		}
 		return nil
 	})
 	return m, nil
+}
+
+// components groups matrix positions into sharing components: a
+// union-find over the dense array indices joins every array a footprint
+// touches, so two positions land in one component exactly when a chain
+// of common arrays links them. A position that touches no array is a
+// component of its own. Components are numbered by their smallest
+// position and list their members in ascending position order.
+func components(sums []*footprint, arrays int) [][]int32 {
+	parent := make([]int32, arrays)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, f := range sums {
+		if len(f.ents) == 0 {
+			continue
+		}
+		r := find(int32(f.ents[0].ai))
+		for _, e := range f.ents[1:] {
+			if s := find(int32(e.ai)); s != r {
+				parent[s] = r
+			}
+		}
+	}
+	num := make([]int32, arrays) // root array -> component number + 1
+	var comps [][]int32
+	for i, f := range sums {
+		var c int32
+		if len(f.ents) == 0 {
+			comps = append(comps, nil)
+			c = int32(len(comps) - 1)
+		} else {
+			r := find(int32(f.ents[0].ai))
+			if num[r] == 0 {
+				comps = append(comps, nil)
+				num[r] = int32(len(comps))
+			}
+			c = num[r] - 1
+		}
+		comps[c] = append(comps[c], int32(i))
+	}
+	return comps
 }
 
 // summarize flattens one data space into a footprint summary, assigning

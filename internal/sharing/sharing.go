@@ -10,7 +10,6 @@ package sharing
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -217,10 +216,28 @@ func (a *Analyzer) SharingSet(p, q *prog.ProcessSpec, arr *prog.Array) (*eset.Se
 // Matrix is the sharing matrix M of the paper's Figure 2(a): for processes
 // k and p, M[k][p] is the number of bytes shared between their data
 // spaces. The diagonal holds each process's own footprint in bytes.
+//
+// M is zero between processes that touch no common array, so it is
+// stored by sharing component: a component is a set of processes joined,
+// directly or through other members, by arrays they both touch. Each
+// component keeps one k×k block of cells; a pair in different components
+// has no cell and shares 0 bytes. Components are numbered by their
+// smallest matrix position and list their members in ascending position
+// order.
 type Matrix struct {
-	ids  []taskgraph.ProcID
-	pos  map[taskgraph.ProcID]int
-	vals [][]int64
+	ids []taskgraph.ProcID
+	pos map[taskgraph.ProcID]int
+	at  []slot // per position: its component and its row in cells
+	// cells holds every component's block, row-major, in component order.
+	cells []int64
+}
+
+// slot places one matrix position: cells[row+local'] is its sharing with
+// the member of the same component at local index local'.
+type slot struct {
+	comp  int32 // component number
+	local int32 // index inside the component
+	row   int   // first cell of its row in the component's block
 }
 
 // Len returns the number of processes.
@@ -241,9 +258,15 @@ func (m *Matrix) Index(a taskgraph.ProcID) (int, bool) {
 }
 
 // SharedAt returns the shared bytes between the processes at matrix
-// positions i and j (the diagonal holds footprints). Positions must come
-// from Index.
-func (m *Matrix) SharedAt(i, j int) int64 { return m.vals[i][j] }
+// positions i and j (the diagonal holds footprints); 0 when they lie in
+// different components. Positions must come from Index.
+func (m *Matrix) SharedAt(i, j int) int64 {
+	a, b := m.at[i], m.at[j]
+	if a.comp != b.comp {
+		return 0
+	}
+	return m.cells[a.row+int(b.local)]
+}
 
 // Shared returns the shared bytes between two processes; 0 when either is
 // unknown.
@@ -256,44 +279,11 @@ func (m *Matrix) Shared(a, b taskgraph.ProcID) int64 {
 	if !ok {
 		return 0
 	}
-	return m.vals[i][j]
+	return m.SharedAt(i, j)
 }
 
 // Footprint returns the process's own footprint in bytes.
 func (m *Matrix) Footprint(a taskgraph.ProcID) int64 { return m.Shared(a, a) }
-
-// TotalSharing returns the sum of shared bytes between a and every process
-// in others (excluding a itself).
-func (m *Matrix) TotalSharing(a taskgraph.ProcID, others []taskgraph.ProcID) int64 {
-	var n int64
-	for _, o := range others {
-		if o != a {
-			n += m.Shared(a, o)
-		}
-	}
-	return n
-}
-
-// MaxSharingPartner returns the process in candidates (excluding a) with
-// maximal sharing with a; ties break to the smallest ID. ok is false when
-// candidates is empty or contains only a.
-func (m *Matrix) MaxSharingPartner(a taskgraph.ProcID, candidates []taskgraph.ProcID) (taskgraph.ProcID, int64, bool) {
-	best := taskgraph.ProcID{}
-	var bestVal int64 = -1
-	found := false
-	sorted := append([]taskgraph.ProcID(nil), candidates...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	for _, c := range sorted {
-		if c == a {
-			continue
-		}
-		v := m.Shared(a, c)
-		if !found || v > bestVal {
-			best, bestVal, found = c, v, true
-		}
-	}
-	return best, bestVal, found
-}
 
 // String renders the matrix like the paper's Figure 2(a) table (values in
 // bytes).
@@ -307,7 +297,7 @@ func (m *Matrix) String() string {
 	for i, id := range m.ids {
 		fmt.Fprintf(&b, "%-8s", id.String())
 		for j := range m.ids {
-			fmt.Fprintf(&b, "%10d", m.vals[i][j])
+			fmt.Fprintf(&b, "%10d", m.SharedAt(i, j))
 		}
 		if i < len(m.ids)-1 {
 			b.WriteByte('\n')

@@ -100,55 +100,6 @@ func TestSharedUnknownProcess(t *testing.T) {
 	}
 }
 
-func TestTotalSharing(t *testing.T) {
-	g := figure1Task(t)
-	m, err := ComputeMatrixParallel(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0 := taskgraph.ProcID{Task: 0, Idx: 0}
-	// P0 shares 2000 with P1 and 1000 with P2.
-	got := m.TotalSharing(p0, m.IDs())
-	if got != 3000 {
-		t.Errorf("TotalSharing(P0) = %d, want 3000", got)
-	}
-	// Middle process P3 shares with P1,P2,P4,P5: 1000+2000+2000+1000.
-	p3 := taskgraph.ProcID{Task: 0, Idx: 3}
-	got = m.TotalSharing(p3, m.IDs())
-	if got != 6000 {
-		t.Errorf("TotalSharing(P3) = %d, want 6000", got)
-	}
-}
-
-func TestMaxSharingPartner(t *testing.T) {
-	g := figure1Task(t)
-	m, err := ComputeMatrixParallel(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0 := taskgraph.ProcID{Task: 0, Idx: 0}
-	best, val, ok := m.MaxSharingPartner(p0, m.IDs())
-	if !ok {
-		t.Fatal("MaxSharingPartner should find a partner")
-	}
-	if best != (taskgraph.ProcID{Task: 0, Idx: 1}) || val != 2000 {
-		t.Errorf("best partner of P0 = %v (%d), want P0.1 (2000)", best, val)
-	}
-	// Tie-break: P3's best partners are P2 and P4 (both 2000); smallest ID wins.
-	p3 := taskgraph.ProcID{Task: 0, Idx: 3}
-	best, val, ok = m.MaxSharingPartner(p3, m.IDs())
-	if !ok || best != (taskgraph.ProcID{Task: 0, Idx: 2}) || val != 2000 {
-		t.Errorf("best partner of P3 = %v (%d, %v), want P0.2 (2000)", best, val, ok)
-	}
-	// Empty candidates.
-	if _, _, ok := m.MaxSharingPartner(p0, nil); ok {
-		t.Error("no candidates should report !ok")
-	}
-	if _, _, ok := m.MaxSharingPartner(p0, []taskgraph.ProcID{p0}); ok {
-		t.Error("candidates containing only self should report !ok")
-	}
-}
-
 func TestElementSizeWeighting(t *testing.T) {
 	// Two processes sharing 100 elements of a 4-byte array share 400 bytes.
 	arr := prog.MustArray("A", 4, 1000)
